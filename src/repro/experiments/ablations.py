@@ -74,7 +74,7 @@ def _strategy_run(strategy_name: str, n_ranks: int, n_iters: int,
             if fresh and ctx.rank not in detected_at:
                 detected_at[ctx.rank] = ctx.now
             ret, _ = yield from ctx.allreduce(
-                np.array([step]), AllreduceOp.MIN, timeout=2.0
+                step, AllreduceOp.MIN, timeout=2.0
             )
             if ret is not ReturnCode.SUCCESS:
                 # a peer died: bare loop cannot recover; stop measuring

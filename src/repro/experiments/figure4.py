@@ -96,7 +96,7 @@ def run_bare(spec: WorkloadSpec, checkpoints: bool) -> float:
         step = 0
         while step < spec.n_iterations:
             ret, _ = yield from ctx.allreduce(  # ftlint: disable=FT001 -- bare (non-FT) baseline by design: the paper's comparison point runs without the health flag
-                np.array([step]), AllreduceOp.MIN, group
+                step, AllreduceOp.MIN, group
             )
             assert ret is ReturnCode.SUCCESS
             yield Sleep(spec.iteration_time)

@@ -129,17 +129,19 @@ class FTContext:
                                                     nominal_bytes)
 
     def agree_min(self, value: int) -> Any:
-        """Generator: team-wide integer MIN (guarded retry loop)."""
-        import numpy as np
+        """Generator: team-wide integer MIN (guarded retry loop).
 
+        ``value`` travels as one int64 word (the scalar form of
+        :meth:`GaspiContext.allreduce`); the agreed minimum is an ``int``.
+        """
+        value = int(value)
         while True:
             self.guard.assert_healthy()
             ret, result = yield from self.ctx.allreduce(
-                np.array([value], dtype=np.int64), AllreduceOp.MIN,
-                self.team.group, self.cfg.comm_timeout,
+                value, AllreduceOp.MIN, self.team.group, self.cfg.comm_timeout,
             )
             if ret is ReturnCode.SUCCESS:
-                return int(result[0])
+                return result
 
     def agree_restore_version(self) -> Generator[Any, Any, int]:
         """Generator: newest checkpoint version every rank can restore."""

@@ -12,13 +12,19 @@ with costs from :class:`CollectiveCosts`.  A member that never arrives
 (because it failed) leaves the instance pending forever — the survivors
 only ever see ``GASPI_TIMEOUT``, which is precisely the failure mode the
 paper's fault detector exists to resolve.
+
+Per-arrival work is kept to the match itself.  A rank's membership is
+tested once per instance, at its first arrival (a retry finds its event and
+returns it).  An allreduce's reduction and cost are resolved once, when the
+last member arrives: builtins over plain ``int`` contributions (int64
+words, the guarded solver-loop agreement), :func:`_reduce` over arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -69,6 +75,17 @@ class CollectiveCosts:
         return self.commit_base + self.commit_per_rank * p
 
 
+#: int64 bounds of a scalar contribution (an 8-byte word)
+INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
+
+_SCALAR_OPS: Dict[AllreduceOp, Callable[[List[int]], int]] = {
+    AllreduceOp.MIN: min,
+    AllreduceOp.MAX: max,
+    AllreduceOp.SUM: sum,
+}
+
+
 def _reduce(op: AllreduceOp, contributions: List[np.ndarray]) -> np.ndarray:
     stack = np.stack(contributions)
     if op is AllreduceOp.MIN:
@@ -80,16 +97,50 @@ def _reduce(op: AllreduceOp, contributions: List[np.ndarray]) -> np.ndarray:
     raise GaspiUsageError(f"unknown allreduce op {op!r}")  # pragma: no cover
 
 
+def reduce_contributions(op: AllreduceOp, contributions: List[Any],
+                         ) -> Tuple[Any, int]:
+    """Combine one allreduce instance's contributions (in member order).
+
+    Returns ``(result, payload bytes)``.  Plain ``int`` contributions are
+    int64 words reduced with the builtins: the result is an ``int`` and a
+    SUM wraps around exactly as the numpy path does.  Anything else is an
+    array and goes through :func:`_reduce`.
+    """
+    kinds = set(map(type, contributions))
+    if kinds == {int}:
+        value = _SCALAR_OPS[op](contributions)
+        if op is AllreduceOp.SUM and not INT64_MIN <= value <= INT64_MAX:
+            value = (value - INT64_MIN) % (1 << 64) + INT64_MIN
+        return value, 8
+    if int in kinds:
+        raise GaspiUsageError(
+            "allreduce mixes int and array contributions across ranks")
+    return _reduce(op, contributions), contributions[0].nbytes
+
+
 class _Instance:
-    """One in-flight collective instance."""
+    """One in-flight collective instance.
 
-    __slots__ = ("members", "arrived", "events", "finished")
+    ``op`` marks an allreduce, reduced and priced at completion; other
+    kinds carry the ``finisher`` and ``cost`` of their first arrival.
+    """
 
-    def __init__(self, members: Tuple[int, ...]) -> None:
+    __slots__ = ("members", "member_set", "arrived", "events", "op",
+                 "finisher", "cost")
+
+    def __init__(self, members: Tuple[int, ...], op: Optional[AllreduceOp],
+                 finisher: Optional[Callable[[List[Any]], Any]],
+                 cost: float) -> None:
         self.members = members
+        # interned memberships carry a shared set — O(1) membership tests
+        # instead of an O(p) tuple scan
+        self.member_set: Collection[int] = (
+            members.member_set() if isinstance(members, _Members) else members)
         self.arrived: Dict[int, Any] = {}
         self.events: Dict[int, Event] = {}
-        self.finished = False
+        self.op = op
+        self.finisher = finisher
+        self.cost = cost
 
 
 class CollectiveEngine:
@@ -111,73 +162,73 @@ class CollectiveEngine:
         contribution: Any = None,
         finisher: Optional[Callable[[List[Any]], Any]] = None,
         cost: float = 0.0,
+        op: Optional[AllreduceOp] = None,
     ) -> Event:
         """Join collective instance ``(kind, group_identity, seq)``.
 
-        Returns this rank's completion event (stable across retries).  When
-        the final member arrives, ``finisher`` combines the contributions
-        (in member order) into the shared result and every member's event
-        fires ``cost`` seconds later.
+        Returns this rank's completion event (stable across retries: a
+        rank that arrives again rejoins the instance without re-checking
+        its membership or replacing its contribution).  When the final
+        member arrives the contributions are combined in member order and
+        every member's event fires with the result after the instance's
+        cost.  With ``op`` the instance is an allreduce: the engine reduces
+        with :func:`reduce_contributions` and prices it with
+        :meth:`CollectiveCosts.allreduce`, once, at completion; otherwise
+        ``finisher`` (or ``None``) gives the result and ``cost`` the delay.
         """
-        # interned memberships carry a shared set — O(1) instead of an
-        # O(p) tuple scan, which a timed-out commit retries p times
-        if isinstance(members, _Members):
-            if rank not in members.member_set():
-                raise GaspiUsageError(
-                    f"rank {rank} not a member of {group_identity}")
-        elif rank not in members:
-            raise GaspiUsageError(f"rank {rank} not a member of {group_identity}")
         key = (kind, group_identity, seq)
         inst = self._instances.get(key)
         if inst is None:
-            inst = _Instance(members)
+            inst = _Instance(members, op, finisher, cost)
+        else:
+            # interned memberships make the match an identity check; the
+            # content compare only runs for non-interned callers
+            if inst.members is not members and inst.members != members:
+                raise GaspiUsageError(
+                    f"collective {key} called with mismatched membership: "
+                    f"{inst.members} vs {members}"
+                )
+            event = inst.events.get(rank)
+            if event is not None:
+                return event
+        # this rank's first arrival: the one membership test it gets
+        if rank not in inst.member_set:
+            raise GaspiUsageError(f"rank {rank} not a member of {group_identity}")
+        arrived = inst.arrived
+        if not arrived:
+            # register a new instance only once a member has joined it
             self._instances[key] = inst
-        # interned memberships make the match an identity check; the
-        # content compare only runs for non-interned callers
-        elif inst.members is not members and inst.members != members:
-            raise GaspiUsageError(
-                f"collective {key} called with mismatched membership: "
-                f"{inst.members} vs {members}"
-            )
-
-        event = inst.events.get(rank)
-        if event is None:
-            # unnamed: formatting a per-arrival name is measurable on the
-            # once-per-iteration allreduce path and only aids debugging
-            event = Event()
-            inst.events[rank] = event
-        if rank not in inst.arrived:
-            inst.arrived[rank] = contribution
-
-        if not inst.finished and len(inst.arrived) == len(inst.members):
-            inst.finished = True
-            ordered = [inst.arrived[m] for m in inst.members]
-            result = finisher(ordered) if finisher is not None else None
-
-            def complete() -> None:
-                for member in inst.members:
-                    ev = inst.events.get(member)
-                    if ev is None:
-                        ev = Event()
-                        inst.events[member] = ev
-                    ev.succeed(result)
-                self._instances.pop(key, None)
-
-            self.sim.schedule(cost, complete)
+        # unnamed: formatting a per-arrival name is measurable on the
+        # once-per-iteration allreduce path and only aids debugging
+        event = Event()
+        inst.events[rank] = event
+        arrived[rank] = contribution
+        if len(arrived) == len(members):
+            self._finish(key, inst)
         return event
+
+    def _finish(self, key: Tuple, inst: _Instance) -> None:
+        """Combine a complete instance and schedule its members' wake-up."""
+        arrived = inst.arrived
+        ordered = [arrived[m] for m in inst.members]
+        if inst.op is not None:
+            result, nbytes = reduce_contributions(inst.op, ordered)
+            cost = self.costs.allreduce(len(ordered), nbytes)
+        else:
+            finisher = inst.finisher
+            result = finisher(ordered) if finisher is not None else None
+            cost = inst.cost
+
+        def complete() -> None:
+            events = inst.events
+            for member in inst.members:
+                events[member].succeed(result)
+            self._instances.pop(key, None)
+
+        self.sim.schedule(cost, complete)
 
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
         """Number of collective instances still waiting for members."""
         return len(self._instances)
-
-    _finishers: Dict[AllreduceOp, Callable] = {}
-
-    @staticmethod
-    def reduce_finisher(op: AllreduceOp) -> Callable[[List[np.ndarray]], np.ndarray]:
-        fin = CollectiveEngine._finishers.get(op)
-        if fin is None:
-            fin = lambda contributions: _reduce(op, contributions)
-            CollectiveEngine._finishers[op] = fin
-        return fin

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Any, Generator, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.sim import WaitEvent
+from repro.gaspi.collectives import INT64_MAX, INT64_MIN
 from repro.gaspi.constants import (
     GASPI_BLOCK,
     AllreduceOp,
@@ -698,8 +699,6 @@ class GaspiContext:
         Its cost is linear in group size (connection establishment) — the
         dominant part of the paper's OHF2 rebuild overhead.
         """
-        if self.rank not in group:
-            raise GaspiUsageError(f"rank {self.rank} commits group it is not part of")
         costs = self.world.engine.costs
         event = self.world.engine.arrive(
             "commit", group.identity(), group.coll_seq, self.rank,
@@ -723,8 +722,6 @@ class GaspiContext:
         """``gaspi_barrier`` (generator)."""
         group = group or self.group_all
         group.require_committed()
-        if self.rank not in group:
-            raise GaspiUsageError(f"rank {self.rank} not in group")
         costs = self.world.engine.costs
         event = self.world.engine.arrive(
             "barrier", group.identity(), group.coll_seq, self.rank,
@@ -739,19 +736,27 @@ class GaspiContext:
     def allreduce(
         self, values: Any, op: AllreduceOp, group: Optional[Group] = None,
         timeout: float = GASPI_BLOCK,
-    ) -> Generator[Any, Any, Tuple[ReturnCode, Optional[np.ndarray]]]:
-        """``gaspi_allreduce`` (generator): returns ``(ret, reduced array)``."""
+    ) -> Generator[Any, Any, Tuple[ReturnCode, Any]]:
+        """``gaspi_allreduce`` (generator): returns ``(ret, reduced value)``.
+
+        A plain ``int`` (not ``bool``, not a numpy scalar) is one int64
+        word: the result is an ``int`` with int64 semantics (SUM wraps
+        around) and the call is priced as an 8-byte allreduce.  Any other
+        ``values`` is copied into an array and reduced element-wise; the
+        result is an array.  Every rank of one call must use the same form.
+        """
         group = group or self.group_all
         group.require_committed()
-        if self.rank not in group:
-            raise GaspiUsageError(f"rank {self.rank} not in group")
-        contribution = np.array(values, copy=True)
-        costs = self.world.engine.costs
+        if type(values) is int:
+            if not INT64_MIN <= values <= INT64_MAX:
+                raise GaspiUsageError(f"allreduce value {values} is not int64")
+            contribution = values
+        else:
+            contribution = np.array(values, copy=True)
+        identity = group.identity()  # (tag, members)
         event = self.world.engine.arrive(
-            "allreduce", group.identity(), group.coll_seq, self.rank,
-            group.members, contribution=contribution,
-            finisher=self.world.engine.reduce_finisher(op),
-            cost=costs.allreduce(group.size, contribution.nbytes),
+            "allreduce", identity, group.coll_seq, self.rank, identity[1],
+            contribution, op=op,
         )
         ok, result = yield WaitEvent(event, _clip_timeout(timeout))
         if not ok:

@@ -78,14 +78,15 @@ class _Members(tuple):
 class Group:
     """A (possibly not yet committed) ordered set of ranks."""
 
-    __slots__ = ("tag", "_members", "_member_set", "_sorted", "committed",
-                 "coll_seq")
+    __slots__ = ("tag", "_members", "_member_set", "_sorted", "_identity",
+                 "committed", "coll_seq")
 
     def __init__(self, tag: int = 0) -> None:
         self.tag = tag
         self._members: Union[List[int], _Members] = []
         self._member_set: Optional[Set[int]] = set()
         self._sorted: Optional[Tuple[int, ...]] = None
+        self._identity: Optional[Tuple[int, Tuple[int, ...]]] = None
         self.committed = False
         #: per-rank collective sequence number on this group; incremented
         #: only on collective *success* so timed-out calls retry the same
@@ -109,6 +110,7 @@ class Group:
         group._members = members
         group._member_set = None
         group._sorted = members
+        group._identity = None
         group.committed = committed
         group.coll_seq = 0
         return group
@@ -135,6 +137,7 @@ class Group:
         self._members = members
         self._member_set = None
         self._sorted = members
+        self._identity = None
 
     # ------------------------------------------------------------------
     def add(self, rank: int) -> None:
@@ -151,6 +154,7 @@ class Group:
         cast(List[int], self._members).append(rank)
         member_set.add(rank)
         self._sorted = None
+        self._identity = None
 
     def add_many(self, ranks: Iterable[int]) -> None:
         """Add a whole batch of ranks in one call.
@@ -184,6 +188,7 @@ class Group:
         cast(List[int], self._members).extend(batch)
         member_set |= batch_set
         self._sorted = None
+        self._identity = None
 
     @property
     def members(self) -> Tuple[int, ...]:
@@ -208,8 +213,16 @@ class Group:
         return rank in member_set
 
     def identity(self) -> Tuple:
-        """Cross-rank identity used to match collective instances."""
-        return (self.tag, self.members)
+        """Cross-rank identity used to match collective instances.
+
+        ``(tag, members)``, built once and cached until the membership
+        next changes: the solver loop asks for it on every collective.
+        The tag is fixed at creation.
+        """
+        identity = self._identity
+        if identity is None:
+            identity = self._identity = (self.tag, self.members)
+        return identity
 
     def require_committed(self) -> None:
         if not self.committed:

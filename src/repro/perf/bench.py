@@ -529,10 +529,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(run before an optimisation)")
     parser.add_argument("--out", default=BENCH_FILE,
                         help=f"output JSON path (default: {BENCH_FILE})")
+    # argparse %-formats help strings: a literal percent sign is "%%"
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero if a tracked speedup target is "
                              "missed, a floor is not met, or any metric "
-                             f"regresses >{REGRESSION_TOLERANCE:.0%} vs the "
+                             f"regresses >{REGRESSION_TOLERANCE:.0%}% vs the "
                              "committed 'current' values")
     parser.add_argument("--scaling", action="store_true",
                         help="run the weak-scaling suite instead of the "
@@ -549,7 +550,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "world once, print world_build_s and "
                              "world_peak_mb; with --check, fail if "
                              "world_build_s regresses more than "
-                             f"{REGRESSION_TOLERANCE:.0%} vs the committed "
+                             f"{REGRESSION_TOLERANCE:.0%}% vs the committed "
                              "scaling table (CI wall-capped step)")
     parser.add_argument("--smoke", action="store_true",
                         help="CI weak-scaling smoke: one traced scenario "

@@ -176,13 +176,14 @@ class UlfmComm:
     # collectives
     # ------------------------------------------------------------------
     def _collective(self, kind: str, contribution, finisher, cost: float,
-                    members: Tuple[int, ...]):
+                    members: Tuple[int, ...],
+                    op: Optional[AllreduceOp] = None):
         """Generator: engine-backed collective with ULFM error reporting."""
         engine = self._engine()
         seq = self._coll_seq
         event = engine.arrive(kind, self._identity(), seq, self.ctx.rank,
                               members, contribution=contribution,
-                              finisher=finisher, cost=cost)
+                              finisher=finisher, cost=cost, op=op)
         error_after = self.ctx.world.machine.spec.transport_params.error_timeout
         waited = 0.0
         while True:
@@ -216,11 +217,9 @@ class UlfmComm:
         if self.revoked:
             return (UlfmResult.REVOKED, None)
         members = tuple(self.ranks)
-        contribution = np.array(values, copy=True)
-        cost = self._engine().costs.allreduce(len(members), contribution.nbytes)
         return (yield from self._collective(
-            "allreduce", contribution,
-            self._engine().reduce_finisher(op), cost, members,
+            "allreduce", np.array(values, copy=True), None, 0.0, members,
+            op=op,
         ))
 
     # ------------------------------------------------------------------
@@ -258,12 +257,11 @@ class UlfmComm:
         engine = self._engine()
         event = engine.arrive(
             "agree", self._identity() + ("agree",), seq, self.ctx.rank,
-            members, contribution=np.array([flag], dtype=np.int64),
-            finisher=engine.reduce_finisher(AllreduceOp.MIN), cost=cost,
+            members, contribution=int(flag), finisher=min, cost=cost,
         )
         ok, result = yield WaitEvent(event)
         self._coll_seq += 1
-        return (UlfmResult.SUCCESS, int(result[0]))
+        return (UlfmResult.SUCCESS, result)
 
     def shrink(self, new_comm_id: Optional[int] = None):
         """Generator: ``MPIX_Comm_shrink`` — consensus new communicator.
