@@ -40,7 +40,7 @@ MANIFEST_NAME = "capability_manifest.json"
 CONSUMER_PACKAGES = ("ft", "spmvm", "checkpoint", "workloads")
 
 _CATEGORIES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("collective", ("barrier", "allreduce")),
+    ("collective", ("barrier", "allreduce", "lockstep")),
     ("group", ("group_create", "group_add", "group_add_many", "group_fill",
                "group_commit", "group_delete")),
     ("posting", ("write", "read", "write_list", "read_list", "write_notify",

@@ -102,7 +102,12 @@ _BLOCKING_TIMEOUT_POS = {
     "group_commit": 1,
     "recv": 0,
     "get": 0,
+    "lockstep": 4,
 }
+
+#: blocking calls that run many rounds on one call: only a health check
+#: handed in as ``check=`` (read every round) guards them
+_ROUND_CHECK_POS = {"lockstep": 5}
 
 #: yielded request objects that park the process, timeout positional index
 _BLOCKING_REQUESTS = {
@@ -111,9 +116,10 @@ _BLOCKING_REQUESTS = {
 }
 
 
-def _explicit_timeout(call: ast.Call, pos: Optional[int]) -> Optional[ast.AST]:
+def _explicit_arg(call: ast.Call, keyword: str,
+                  pos: Optional[int]) -> Optional[ast.AST]:
     for kw in call.keywords:
-        if kw.arg == "timeout":
+        if kw.arg == keyword:
             return kw.value
     if pos is not None and len(call.args) > pos:
         return call.args[pos]
@@ -169,6 +175,15 @@ class FT001PreCommCheck(Rule):
             func = ctx.enclosing_function(node)
             if func is None:
                 continue
+            if name in _ROUND_CHECK_POS:
+                check = _explicit_arg(call, "check", _ROUND_CHECK_POS[name])
+                if check is None or (isinstance(check, ast.Constant)
+                                     and check.value is None):
+                    yield ctx.make_finding(
+                        self.id, call,
+                        f"blocking '{name}' without check=: its rounds "
+                        f"never read the health flag")
+                continue
             # innermost enclosing loop within the function
             loop: Optional[ast.AST] = None
             for anc in ctx.ancestors(node):
@@ -178,7 +193,7 @@ class FT001PreCommCheck(Rule):
                 if anc is func:
                     break
 
-            timeout = _explicit_timeout(call, timeout_pos)
+            timeout = _explicit_arg(call, "timeout", timeout_pos)
             timed = timeout is not None and not _is_infinite_timeout(timeout)
 
             if loop is not None and _contains_health_check(loop):

@@ -251,6 +251,10 @@ class Transport:
         """Liveness without materialising an endpoint object."""
         return bool(self._alive[rank])
 
+    def all_alive(self, ranks: np.ndarray) -> bool:
+        """Are all of ``ranks`` alive (one vectorized gather)?"""
+        return bool(self._alive[ranks].all())
+
     def alive_ranks(self) -> List[int]:
         """All live ranks, via one vectorized scan of the alive array."""
         return np.flatnonzero(self._alive).tolist()

@@ -94,13 +94,17 @@ def run_bare(spec: WorkloadSpec, checkpoints: bool) -> float:
                                 config=CheckpointConfig(tag="state"))
         yield Sleep(spec.setup_time)
         step = 0
+        interval = (spec.checkpoint_interval if lib is not None
+                    else spec.n_iterations)
         while step < spec.n_iterations:
             ret, _ = yield from ctx.allreduce(  # ftlint: disable=FT001 -- bare (non-FT) baseline by design: the paper's comparison point runs without the health flag
                 step, AllreduceOp.MIN, group
             )
             assert ret is ReturnCode.SUCCESS
-            yield Sleep(spec.iteration_time)
-            step += 1
+            stop = min(spec.n_iterations, (step // interval + 1) * interval)
+            rounds, _ = yield from ctx.lockstep(  # ftlint: disable=FT001 -- bare (non-FT) baseline by design: the paper's comparison point runs without the health flag
+                step, spec.iteration_time, stop, group)
+            step += rounds + 1
             if lib is not None and step % spec.checkpoint_interval == 0:
                 yield from lib.write_checkpoint(
                     step // spec.checkpoint_interval,

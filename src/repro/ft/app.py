@@ -18,7 +18,8 @@ from __future__ import annotations
 import abc
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.sim import Sleep
 from repro.cluster import FaultPlan, MachineSpec
@@ -142,6 +143,23 @@ class FTContext:
             )
             if ret is ReturnCode.SUCCESS:
                 return result
+
+    def guarded_lockstep(self, step: int, dt: float, stop: int, t0: float,
+                         trace: Optional[str] = None,
+                         ) -> Generator[Any, Any, Tuple[int, float]]:
+        """Generator: sleep ``dt``; the ``agree_min`` rounds after it as a team.
+
+        Call right after ``agree_min(step)`` succeeded; ``t0`` is when that
+        round started.  Each later round runs this member's guard check
+        exactly where :meth:`agree_min` would, until the next step would
+        reach ``stop``.  Returns ``(rounds, t_last)`` as
+        :meth:`GaspiContext.lockstep` does.
+        """
+        return (yield from self.ctx.lockstep(
+            step, dt, stop, self.team.group, self.cfg.comm_timeout,
+            check=partial(self.block.check_failure, self.epoch), t0=t0,
+            trace=trace,
+        ))
 
     def agree_restore_version(self) -> Generator[Any, Any, int]:
         """Generator: newest checkpoint version every rank can restore."""

@@ -18,13 +18,17 @@ tested once per instance, at its first arrival (a retry finds its event and
 returns it).  An allreduce's reduction and cost are resolved once, when the
 last member arrives: builtins over plain ``int`` contributions (int64
 words, the guarded solver-loop agreement), :func:`_reduce` over arrays.
+
+A team that repeats the guarded solver-loop round in lockstep parks in a
+:class:`Cohort`, which advances the whole team with one entry per step and
+splits back into per-rank code at the first divergence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Collection, Dict, List, Optional, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -143,6 +147,118 @@ class _Instance:
         self.cost = cost
 
 
+#: what a parked member resumes with: (rounds advanced, last round's start)
+LockstepResult = Tuple[int, float]
+
+
+class Cohort:
+    """A team advancing the guarded solver loop as one, one entry per step.
+
+    A *round* is what every member does after a successful allreduce:
+    ``Sleep(dt)``, take the next step, read its failure flag, then a
+    scalar-int MIN allreduce of that step.  Members *park* right after an
+    allreduce, on a private event with no timeout timer.  The first one
+    schedules the tick with its own ``dt``; later ones join only while
+    nothing has been scheduled since and the clock has not moved, so each
+    joiner's ``Sleep`` would have taken the very next sequence number.  A
+    tick either advances the cohort by a round (emit each member's trace
+    event, schedule the completion after ``costs.allreduce(p, 8)``, which
+    schedules the next tick after ``dt``) or *splits*: its entry succeeds
+    every park event in park order, and each member resumes in its own
+    per-rank code just after that round's sleep.
+
+    The tick splits when a member is dead, a member's ``check`` returns a
+    notice, the next step reaches ``stop`` (a checkpoint step or the last
+    step), the parked set is not the whole membership, or the timeout
+    would fire before the completion.  Members that disagree on the
+    round's parameters never share a cohort.  A member that dies during
+    an allreduce is found dead at the next tick, which is where the
+    survivors would have woken from their own sleeps.
+
+    **Why this is exact.**  ``K`` entries with one time and contiguous
+    sequence numbers run back to back: no other entry sorts between them,
+    and what they schedule gets later numbers.  One entry that resumes
+    ``K`` processes inline, in the same order, is therefore
+    order-isomorphic to them, and every other entry keeps its relative
+    order.  A round's ``K`` wake-ups collapse into the tick.  What they
+    scheduled collapses into the completion, at the same position: ``K``
+    timeout timers and the completion of the last arrival.  The ``K``
+    sleeps the completion would have scheduled collapse into the next
+    tick.  The timers no longer created were always cancelled before they
+    fired, since a round is only taken when ``now + cost < now +
+    timeout``.  Times come from the kernel's own ``now + delay`` with the
+    same delays, never from an absolute-time round trip.
+    """
+
+    __slots__ = ("engine", "params", "step", "dt", "stop", "timeout",
+                 "trace", "size", "ranks", "rank_array", "events",
+                 "checks", "starts", "rounds", "t_last", "t_form", "mark",
+                 "_alive")
+
+    def __init__(self, engine: "CollectiveEngine", params: Tuple,
+                 alive: Callable[[np.ndarray], bool]) -> None:
+        identity, _seq, step, dt, stop, timeout, trace = params
+        self.engine = engine
+        self.params = params
+        self.step = step
+        self.dt = dt
+        self.stop = stop
+        self.timeout = timeout
+        self.trace = trace
+        self.size = len(identity[1])
+        self.ranks: List[int] = []
+        self.rank_array = np.zeros(0, dtype=np.int64)  # set at the 1st tick
+        self.events: List[Event] = []
+        self.checks: List[Callable[[], Any]] = []
+        self.starts: List[float] = []
+        self.rounds = 0
+        self.t_last = 0.0
+        self._alive = alive
+        sim = engine.sim
+        sim.schedule(dt, self._tick)
+        self.t_form = sim.now
+        self.mark = sim.scheduled_count
+
+    def _tick(self) -> None:
+        engine = self.engine
+        if engine._forming is self:
+            engine._forming = None
+        sim = engine.sim
+        now = sim.now
+        step = self.step + 1
+        cost = engine.costs.allreduce(self.size, 8)
+        timeout = self.timeout
+        if self.rounds == 0:
+            self.rank_array = np.array(self.ranks, dtype=np.int64)
+        if (step >= self.stop or len(self.ranks) != self.size
+                or (timeout is not None and now + cost >= now + timeout)
+                or not self._alive(self.rank_array)
+                or any(check() is not None for check in self.checks)):
+            self._split()
+            return
+        tracer = sim.tracer
+        if tracer.enabled and self.trace is not None:
+            name = self.trace
+            starts = (self.starts if self.rounds == 0
+                      else [self.t_last] * len(self.ranks))
+            for rank, t0 in zip(self.ranks, starts):
+                tracer.emit(now, rank, name, dur=now - t0, step=step)
+        self.step = step
+        self.t_last = now
+        sim.schedule(cost, self._complete)
+
+    def _complete(self) -> None:
+        self.rounds += 1
+        self.engine.sim.schedule(self.dt, self._tick)
+
+    def _split(self) -> None:
+        self.engine._cohorts.discard(self)
+        rounds = self.rounds
+        for event, t0 in zip(self.events, self.starts):
+            # a member killed while parked has no waiter left: not resumed
+            event.succeed((rounds, self.t_last if rounds else t0))
+
+
 class CollectiveEngine:
     """World-global matcher for barrier / allreduce / group_commit."""
 
@@ -150,6 +266,44 @@ class CollectiveEngine:
         self.sim = sim
         self.costs = costs or CollectiveCosts()
         self._instances: Dict[Tuple, _Instance] = {}
+        self._cohorts: Set[Cohort] = set()
+        #: the cohort later parkers may still join (until its first tick)
+        self._forming: Optional[Cohort] = None
+
+    # ------------------------------------------------------------------
+    def park(self, params: Tuple, rank: int, check: Optional[Callable[[], Any]],
+             t0: float, alive: Callable[[np.ndarray], bool]) -> Event:
+        """Park ``rank`` in a lockstep cohort; returns its resume event.
+
+        ``params`` is ``(identity, seq, step, dt, stop, timeout, trace)``;
+        the member joins the forming cohort when the parameters match and
+        nothing was scheduled since its last join (see :class:`Cohort`),
+        else it starts a new one.  ``check`` is read every tick and
+        returns a failure notice or ``None``; ``t0`` is the start of the
+        member's current round; ``alive`` tests an array of ranks.
+        """
+        members = params[0][1]
+        if rank not in (members.member_set() if isinstance(members, _Members)
+                        else members):
+            raise GaspiUsageError(f"rank {rank} not a member of {params[0]}")
+        sim = self.sim
+        cohort = self._forming
+        if (cohort is None or cohort.mark != sim.scheduled_count
+                or cohort.t_form != sim.now or cohort.params != params):
+            cohort = self._forming = Cohort(self, params, alive)
+            self._cohorts.add(cohort)
+        event = Event()
+        cohort.ranks.append(rank)
+        cohort.events.append(event)
+        if check is not None:
+            cohort.checks.append(check)
+        cohort.starts.append(t0)
+        return event
+
+    @property
+    def cohorts(self) -> int:
+        """Number of lockstep cohorts not yet split."""
+        return len(self._cohorts)
 
     # ------------------------------------------------------------------
     def arrive(

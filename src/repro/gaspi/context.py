@@ -14,12 +14,13 @@ the paper's listings, e.g.::
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Generator, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Any, Callable, Generator, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
 from repro.sim import WaitEvent
-from repro.gaspi.collectives import INT64_MAX, INT64_MIN
+from repro.gaspi.collectives import INT64_MAX, INT64_MIN, LockstepResult
 from repro.gaspi.constants import (
     GASPI_BLOCK,
     AllreduceOp,
@@ -763,6 +764,42 @@ class GaspiContext:
             return (ReturnCode.TIMEOUT, None)
         group.coll_seq += 1
         return (ReturnCode.SUCCESS, result)
+
+    def lockstep(
+        self, step: int, dt: float, stop: int, group: Optional[Group] = None,
+        timeout: float = GASPI_BLOCK,
+        check: Optional[Callable[[], Any]] = None,
+        t0: Optional[float] = None, trace: Optional[str] = None,
+    ) -> Generator[Any, Any, LockstepResult]:
+        """Sleep ``dt``, running the SPMD rounds that follow as one team.
+
+        Call right after a successful allreduce on ``group`` that agreed
+        on ``step``.  A round is: sleep ``dt``, advance the step, emit the
+        ``trace`` event (``dur``, ``step``) when tracing, read ``check``
+        (a failure notice or ``None``), then ``allreduce(step, MIN, group,
+        timeout)``.  The team advances rounds together (see
+        :class:`~repro.gaspi.collectives.Cohort`) until the next step
+        would reach ``stop``, a member dies or ``check`` posts a notice.
+        ``t0`` is when the current round started (default: now).
+
+        Returns ``(rounds, t_last)`` just after the sleep of the first
+        round not taken: ``rounds`` rounds were completed (``group``'s
+        collective sequence already counts them) and ``t_last`` is when
+        the last one started (``t0`` if none).  The caller advances its
+        step and counters by ``rounds`` and carries on after its sleep.
+        """
+        group = group or self.group_all
+        group.require_committed()
+        world = self.world
+        params = (group.identity(), group.coll_seq, step, float(dt), stop,
+                  _clip_timeout(timeout), trace)
+        event = world.engine.park(
+            params, self.rank, check, self.now if t0 is None else t0,
+            world.transport.all_alive,
+        )
+        _, result = yield event
+        group.coll_seq += result[0]
+        return result
 
     # ------------------------------------------------------------------
     # fault tolerance surface

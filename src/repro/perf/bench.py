@@ -534,7 +534,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="exit non-zero if a tracked speedup target is "
                              "missed, a floor is not met, or any metric "
                              f"regresses >{REGRESSION_TOLERANCE:.0%}% vs the "
-                             "committed 'current' values")
+                             "committed 'current' values; read-only: "
+                             "never rewrites the --out file")
     parser.add_argument("--scaling", action="store_true",
                         help="run the weak-scaling suite instead of the "
                              "micro suite: the rank ladder in both rankstate "
@@ -639,13 +640,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     current = _strip_env(report.get("current"))
     if seed and current and not args.record_seed:
         report["speedup"] = _speedup(seed, current)
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # checking is read-only: a failing check must not become the baseline
+    # the next check compares against
+    if not args.check:
+        with open(args.out, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
     width = max(len(k) for k in metrics)
     section = "seed" if args.record_seed else "current"
-    print(f"# {section} -> {args.out}")
+    print(f"# {section} {'vs' if args.check else '->'} {args.out}")
     for key, value in metrics.items():
         if value is None:
             print(f"{key:<{width}}  {'null (not measurable here)':>14}")

@@ -55,14 +55,18 @@ class ModelLanczosProgram(FTProgram):
         step = work["step"]
         iterations_executed = 0
         tracer = ftx.ctx.tracer
+        interval = spec.checkpoint_interval
         while step < spec.n_iterations:
             # the alpha reduction: the iteration's (guarded) global sync
             t0 = ftx.now
             yield from ftx.agree_min(step)
-            yield Sleep(spec.iteration_time)
-            step += 1
-            iterations_executed += 1
-            ftx.count("iterations")
+            # the iterations up to the next checkpoint run as one team
+            stop = min(spec.n_iterations, (step // interval + 1) * interval)
+            rounds, t0 = yield from ftx.guarded_lockstep(
+                step, spec.iteration_time, stop, t0, trace="solver_iter")
+            step += rounds + 1
+            iterations_executed += rounds + 1
+            ftx.count("iterations", rounds + 1)
             if tracer.enabled:
                 tracer.emit(ftx.now, ftx.ctx.rank, "solver_iter",
                             dur=ftx.now - t0, step=step)

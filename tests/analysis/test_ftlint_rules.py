@@ -149,6 +149,31 @@ CASES = [
 
 IDS = [case[0] for case in CASES]
 
+# FT001 on the round-batching call: only ``check=`` guards its rounds
+CASES.append((
+    "FT001", "src/repro/workloads/fixture.py",
+    """
+    def run(ctx, guard, group, step):
+        while step < 10:
+            guard.assert_healthy()
+            rounds, _ = yield from ctx.lockstep(step, 0.5, 10, group, 1.0)
+            step += rounds + 1
+    """,
+    """
+    def run(ctx, notice, group, step):
+        rounds, _ = yield from ctx.lockstep(step, 0.5, 10, group, 1.0,
+                                            check=notice)
+        return rounds
+    """,
+    """
+    def run(ctx, group, step):
+        rounds, _ = yield from ctx.lockstep(  # ftlint: disable=FT001 -- test fixture
+            step, 0.5, 10, group)
+        return rounds
+    """,
+))
+IDS.append("FT001-lockstep")
+
 
 @pytest.mark.parametrize("rule,path,positive,negative,suppressed",
                          CASES, ids=IDS)
