@@ -2,9 +2,11 @@
 
 The core is the reproduction of the paper's third contribution
 (Sect. IV-C): an application-level C/R library where each rank
-checkpoints to its *local* node store and a helper thread asynchronously
-mirrors the checkpoint to the neighboring node (optionally, every k-th
-checkpoint also goes to the parallel file system).  The library is
+checkpoints to its *local* node store and the checkpoint is mirrored
+asynchronously to the neighboring node (optionally, every k-th checkpoint
+also goes to the parallel file system).  The paper's per-library helper
+thread is modelled by one world-level copy plane that every asynchronous
+copy of every backend rides (:class:`CheckpointManager`).  The library is
 fault-aware: after a recovery the neighbor map is refreshed from the
 failed-process list, and a restore transparently falls back from the
 local store to the neighbor copy to the PFS copy.

@@ -9,15 +9,16 @@ Usage from a rank's generator::
 
 The write path is the paper's neighbor node-level checkpointing (§IV-C /
 Fig. 2; the C/R library of §V's overhead measurements): a synchronous
-local-node checkpoint, then a signal to the library's helper thread,
-which mirrors the blob to the neighbor node in the background (and,
-optionally, every ``pfs_every``-th version to the PFS).  Because the
-neighbor copy is asynchronous, the application only ever pays the local
-write — the paper's ≈0.01 % checkpointing overhead.  ``refresh``
-re-derives the neighbor after recovery (fault-aware placement);
-``restorable_latest`` reports the newest version this rank could actually
-restore, which the recovery protocol min-reduces across ranks to pick the
-globally consistent restart point (the allreduce-MIN version agreement).
+local-node checkpoint, then a background copy to the neighbor node (and,
+optionally, every ``pfs_every``-th version to the PFS) on the world's one
+round copy plane, :class:`CheckpointManager`, which every asynchronous
+checkpoint copy of every backend rides.  Because the neighbor copy is
+asynchronous, the application only ever pays the local write — the
+paper's ≈0.01 % checkpointing overhead.  ``refresh`` re-derives the
+neighbor after recovery (fault-aware placement); ``restorable_latest``
+reports the newest version this rank could actually restore, which the
+recovery protocol min-reduces across ranks to pick the globally
+consistent restart point (the allreduce-MIN version agreement).
 
 Parameter ↔ paper-symbol mapping:
 
@@ -61,11 +62,10 @@ from typing import (
 
 import numpy as np
 
-from repro.sim import Channel, Event, Sleep, WaitEvent
-from repro.gaspi.constants import ReturnCode
+from repro.sim import Event, Sleep, WaitEvent
 from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import _Members
-from repro.checkpoint.neighbor import neighbor_map, neighbor_of
+from repro.checkpoint.neighbor import neighbor_map
 from repro.checkpoint.pfs import ParallelFileSystem
 from repro.checkpoint.serialization import (
     pack_checkpoint_into,
@@ -78,8 +78,6 @@ from repro.checkpoint.store import (
     NodeLocalStore,
     StoredBlob,
 )
-
-_SHUTDOWN = object()
 
 #: valid values of :attr:`CheckpointConfig.backend` (see ``CHECKPOINTS.md``)
 BACKENDS = ("neighbor", "pfs", "replicated")
@@ -121,8 +119,82 @@ class CheckpointConfig:
     replica_segment: int = 61
 
 
+# ----------------------------------------------------------------------
+# the per-backend part of the copy plane
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class LandingPolicy:
+    """How one backend lands a copy on a holder.
+
+    The copy plane (:class:`CheckpointManager`) is the same for every
+    backend; a library's holder list says *where* its copies go and its
+    policy says what a landed copy *means*.
+    """
+
+    #: store-key namespace (``""`` keeps the owner key); a namespaced copy
+    #: is also entered in the replica location index and its trace event
+    #: names the holder
+    prefix: str
+    #: whether the holder *process* must be alive for the copy to land
+    #: (a replica lives in its holder's memory, a mirror in its node store)
+    holder_process: bool
+    #: per-library stat counting landed copies, and the one counting
+    #: failed copies (``None``: failures are not counted)
+    stat: str
+    failed_stat: Optional[str]
+    #: tracer event per landed copy, and the ``phase_totals`` keys of
+    #: its (ops, bytes, seconds)
+    event: str
+    totals: Tuple[str, str, str]
+    #: the completion event's value, from the number of landed copies
+    fired: Callable[[int], Any]
+    #: whether every ``config.pfs_every``-th version also goes to the
+    #: library's PFS once its holders resolved
+    pfs_duty: bool
+
+
+#: the paper's neighbor mirror: one holder, the owner key, fires a bool
+MIRROR = LandingPolicy(prefix="", holder_process=False,
+                       stat="neighbor_copies", failed_stat=None,
+                       event="ckpt_mirror",
+                       totals=("mirror_ops", "mirror_bytes", "mirror_s"),
+                       fired=bool,
+                       pfs_duty=True)
+#: ReStore replicas: ``r`` holders, ``"repl:"`` keys in the location
+#: index, fires the landed-copy count; the PFS is never touched
+REPLICA = LandingPolicy(prefix="repl:", holder_process=True,
+                        stat="replica_copies", failed_stat="failed_copies",
+                        event="ckpt_scatter",
+                        totals=("scatter_ops", "scatter_bytes", "scatter_s"),
+                        fired=int,
+                        pfs_duty=False)
+
+
+class CopyLane:
+    """A library's seat on the copy plane: its landing window (same
+    segment id and shape on every rank, so one pooled arena allocation),
+    its dedicated queue (copies never contend with the application's
+    queue 0, like the paper's library thread), and the FIFO that keeps at
+    most one of its copies in flight."""
+
+    __slots__ = ("segment", "seg_size", "queue", "queue_obj", "inflight",
+                 "deferred")
+
+    def __init__(self, ctx: GaspiContext, segment: int, window: int) -> None:
+        if segment not in ctx.segments:
+            ctx.segment_create_pooled(segment, window)
+        self.segment = segment
+        self.seg_size: int = ctx.segment(segment).size
+        self.queue: int = ctx.queue_create()
+        self.queue_obj = ctx.queue(self.queue)
+        self.inflight: Optional[_CopyRequest] = None
+        self.deferred: Deque[_CopyRequest] = deque()
+
+
 class CheckpointLib:
     """Per-rank instance of the neighbor node-level C/R library."""
+
+    landing = MIRROR
 
     def __init__(
         self,
@@ -150,33 +222,12 @@ class CheckpointLib:
         self.participants: Sequence[int] = _Members.intern(
             tuple(sorted(participants)))
         self.neighbor_rank: Optional[int] = None
-        self._neighbor_node: Optional[int] = None
-        self._neighbor_store_obj: Optional[NodeLocalStore] = None
+        self.neighbor_node: Optional[int] = None
+        #: the copy plane's holder list: ``[neighbor_rank]`` or ``[]``
+        self.holders: List[int] = []
         self.refresh(self.participants)
-        # GASPI data plane for neighbor mirroring: own staging window plus
-        # a dedicated queue, so mirror flushes never contend with the
-        # application's queue 0 (the paper's library thread does the same).
-        # Every rank's window has the same shape, so they share one pooled
-        # arena allocation instead of one buffer per rank.
-        if self.config.mirror_segment not in ctx.segments:
-            ctx.segment_create_pooled(self.config.mirror_segment,
-                                      self.config.mirror_window)
-        self._mirror_queue = ctx.queue_create()
-        self._mirror_queue_obj = ctx.queue(self._mirror_queue)
-        self._mirror_seg_size = ctx.segment(self.config.mirror_segment).size
-        self._jobs = Channel(name=f"ckpt-jobs-{ctx.rank}")
-        self._helper = ctx.world.launch(
-            ctx.rank, self._helper_loop(), name=f"ckpt-helper-{ctx.rank}"
-        )
-        #: reusable per-rank staging buffer for the zero-copy pack path;
-        #: grown geometrically, never shrunk — after warm-up a checkpoint
-        #: allocates nothing but the immutable stored snapshot
-        self._staging = bytearray()
-        #: round-mirror bookkeeping: the request currently in flight on the
-        #: manager data plane, and those queued behind it (the FIFO the
-        #: helper thread's job channel provides on the scalar path)
-        self._round_inflight: Optional["_MirrorRequest"] = None
-        self._round_deferred: Deque["_MirrorRequest"] = deque()
+        self.lane = CopyLane(ctx, self.config.mirror_segment,
+                             self.config.mirror_window)
         self.stats = {"local_writes": 0, "neighbor_copies": 0, "pfs_copies": 0,
                       "local_reads": 0, "remote_reads": 0, "pfs_reads": 0}
 
@@ -190,16 +241,12 @@ class CheckpointLib:
     def _store_of_node(self, node_id: int) -> NodeLocalStore:
         return NodeLocalStore(self.machine.node(node_id))
 
-    def _local_store(self) -> NodeLocalStore:
-        return self._local_store_obj
-
     def refresh(self, participants: Iterable[int]) -> None:
         """Fault-aware neighbor update after group reconstruction.
 
-        On the round-checkpoint path the whole ring's map comes from the
-        world manager's cached O(n) ``neighbor_map`` build (every library
-        of the same participant set shares one map) instead of the per-rank
-        O(n) :func:`neighbor_of` rescan; both yield the identical partner.
+        The whole ring's map comes from the world manager's cached O(n)
+        ``neighbor_map`` build: every library of the same participant set
+        shares one map, and each entry equals :func:`neighbor_of`.
         """
         # participants are interned: every library of one team shares the
         # sorted tuple, its set (O(1) membership below) and its hash (the
@@ -207,97 +254,40 @@ class CheckpointLib:
         members = _Members.intern(tuple(sorted(participants)))
         self.participants = members
         if self.ctx.rank in members.member_set() and len(members) > 1:
-            if self._round_kernels():
-                manager = CheckpointManager.of(self.ctx.world)
-                self.neighbor_rank = manager.neighbor_map_for(
-                    members
-                )[self.ctx.rank]
-            else:
-                self.neighbor_rank = neighbor_of(
-                    self.ctx.rank, self.participants, self.machine.node_of
-                )
+            manager = CheckpointManager.of(self.ctx.world)
+            self.neighbor_rank = manager.neighbor_map_for(
+                members
+            )[self.ctx.rank]
         else:
             self.neighbor_rank = None
-        self._neighbor_node = (
-            None if self.neighbor_rank is None
-            else self.machine.node_of(self.neighbor_rank)
-        )
-        self._neighbor_store_obj = (
-            None if self._neighbor_node is None
-            else NodeLocalStore(self.machine.node(self._neighbor_node))
-        )
-
-    @property
-    def neighbor_node(self) -> Optional[int]:
-        return self._neighbor_node
+        if self.neighbor_rank is None:
+            self.neighbor_node = None
+            self.holders = []
+        else:
+            self.neighbor_node = self.machine.node_of(self.neighbor_rank)
+            self.holders = [self.neighbor_rank]
 
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
-    def _round_kernels(self) -> bool:
-        """Whether the active rankstate kernel set selects the round path."""
-        from repro.ft import rankstate
-
-        return bool(rankstate.kernels().round_checkpoint)
-
-    def _use_round_plane(self) -> bool:
-        """Whether this write's mirror rides the manager's round data plane.
-
-        Gated off under transfer jitter (the scalar path's per-op RNG draw
-        order cannot be reproduced from one round pricing call) and when
-        this library owes PFS copies (which stay on the helper thread) —
-        both fall back to the per-library helper, bit-identically.
-        """
-        if not self._round_kernels():
-            return False
-        if self.machine.network.jittered:
-            return False
-        if self.pfs is not None and self.config.pfs_every > 0:
-            return False
-        return True
-
-    def _pack_to_staging(self, payload: Dict[str, np.ndarray]) -> bytes:
-        """Pack through the reused staging buffer; return the stored copy.
-
-        The zero-copy pack writes straight into ``_staging`` (one byte
-        move + streaming CRC); the single ``bytes()`` at the end is the
-        immutable snapshot the node store keeps — it must not alias the
-        staging buffer, which the next checkpoint overwrites.
-        """
-        size = packed_size(payload)
-        if len(self._staging) < size:
-            self._staging = bytearray(max(size, 2 * len(self._staging)))
-        pack_checkpoint_into(payload, self._staging)
-        return bytes(memoryview(self._staging)[:size])
-
     def write_checkpoint(
         self, version: int, payload: Dict[str, np.ndarray],
         nominal_bytes: Optional[int] = None,
     ) -> Generator[Any, Any, Event]:
-        """Generator: synchronous local checkpoint + async neighbor signal.
+        """Generator: synchronous local checkpoint + async neighbor copy.
 
         Returns an :class:`Event` that fires once the background neighbor
         (and PFS, if due) copy finished — the application does *not* have
-        to wait on it.
-
-        The asynchronous mirror travels one of two bit-identical routes:
-        the per-library helper thread (the scalar reference, and the only
-        route under jitter or PFS duty), or the world-level
-        :class:`CheckpointManager` round data plane, which coalesces every
-        mirror signalled in the same tick into one vectorized-priced
-        scatter round.
+        to wait on it.  The copy rides the world's round copy plane, which
+        coalesces every copy signalled in the same tick into one
+        vectorized-priced scatter round.
         """
         t0 = self.ctx.now
-        use_round = self._use_round_plane()
-        manager = CheckpointManager.of(self.ctx.world) if use_round else None
-        if manager is not None:
-            data = manager.pack_blob(payload)
-        else:
-            data = self._pack_to_staging(payload)
+        data = CheckpointManager.of(self.ctx.world).pack_blob(payload)
         blob = StoredBlob(data=data, nominal_bytes=nominal_bytes or len(data))
         yield Sleep(blob.nominal_bytes / self.config.local_bandwidth)
         key = (self.config.tag, self.logical_rank, version)
-        self._local_store().put_pruned(key, blob, self.config.keep_versions)
+        self._local_store_obj.put_pruned(key, blob, self.config.keep_versions)
         self.stats["local_writes"] += 1
         tracer = self._tracer
         if tracer.enabled:
@@ -305,102 +295,18 @@ class CheckpointLib:
                         dur=self.ctx.now - t0, version=version,
                         bytes=blob.nominal_bytes)
         mirrored = Event(name=f"ckpt-mirrored-{self.ctx.rank}-v{version}")
-        if manager is not None:
-            manager.submit(self, key, blob, mirrored)
-        else:
-            self._jobs.put((key, blob, mirrored))
+        self._submit_copy(key, blob, mirrored)
         return mirrored
 
-    def _mirror_transfer(self, neighbor_rank: int, node_id: int,
-                         blob: StoredBlob):
-        """Generator: ship the blob to the neighbor's mirror window.
-
-        The copy travels as one ``gaspi_write_list`` on the dedicated
-        mirror queue (chunked entries, vectorized time model charging the
-        blob's full nominal size).  Returns whether the transfer was
-        delivered: a dead/unreachable neighbor leaves the operations stuck
-        on the queue, the flush times out and the queue is purged —
-        recovery hygiene identical to the worker comm path.  Falls back to
-        a plain timed transfer when the neighbor has no mirror segment
-        (e.g. a rank promoted mid-run before its library initialised).
-        """
-        ctx = self.ctx
-        seg_id = self.config.mirror_segment
-        expected = self.machine.network.transfer_time(
-            self.my_node, node_id, blob.nominal_bytes
-        )
-        remote_segments = ctx.world.contexts[neighbor_rank].segments
-        stage = min(len(blob.data), ctx.segment(seg_id).size)
-        if seg_id not in remote_segments or stage == 0:
-            yield Sleep(expected)
-            return True
-        view = ctx.segment_view(seg_id, np.uint8, 0, stage)
-        view[:] = np.frombuffer(blob.data, dtype=np.uint8, count=stage)
-        chunk = max(1, (stage + 7) // 8)
-        entries = []
-        off = 0
-        while off < stage:
-            n = min(chunk, stage - off)
-            entries.append((seg_id, off, n, seg_id, off))
-            off += n
-        ret = ctx.write_list(entries, neighbor_rank,
-                             queue_id=self._mirror_queue,
-                             modeled_bytes=blob.nominal_bytes)
-        if ret is not ReturnCode.SUCCESS:  # queue full: model the copy
-            yield Sleep(expected)
-            return True
-        ret = yield from ctx.wait(self._mirror_queue,
-                                  timeout=expected * 1.5 + 1.0)
-        if ret is ReturnCode.TIMEOUT:
-            ctx.queue_purge(self._mirror_queue)
-            return False
-        return True
-
-    def _helper_loop(self):
-        """The library thread of Fig. 2: waits for signals, mirrors blobs."""
-        while True:
-            _, job = yield from self._jobs.get()  # ftlint: disable=FT001 -- local in-process job channel; woken by the _SHUTDOWN sentinel, no remote peer involved
-            if job is _SHUTDOWN:
-                return
-            key, blob, mirrored = job
-            copied = False
-            neighbor_rank = self.neighbor_rank
-            node_id = self.neighbor_node
-            t0 = self.ctx.now
-            if node_id is not None:
-                delivered = yield from self._mirror_transfer(
-                    neighbor_rank, node_id, blob
-                )
-                # re-read placement: a recovery may have changed the neighbor
-                # while the copy was in flight; the blob still lands where
-                # the transfer was headed if that node survived.
-                store = self._store_of_node(node_id)
-                if (delivered and store.available
-                        and self.machine.network.reachable(self.my_node, node_id)):
-                    store.put_pruned(key, blob, self.config.keep_versions)
-                    self.stats["neighbor_copies"] += 1
-                    copied = True
-                    tracer = self._tracer
-                    if tracer.enabled:
-                        tracer.emit(self.ctx.now, self.ctx.rank,
-                                    "ckpt_mirror", dur=self.ctx.now - t0,
-                                    version=key[2], node=node_id)
-            if (
-                self.pfs is not None
-                and self.config.pfs_every > 0
-                and key[2] % self.config.pfs_every == 0
-            ):
-                yield from self.pfs.write(key, blob)
-                self.stats["pfs_copies"] += 1
-            mirrored.succeed(copied)
-
-    def _prune(self, store: NodeLocalStore) -> None:
-        store.prune(self.config.tag, self.logical_rank,
-                    self.config.keep_versions)
+    def _submit_copy(self, key: Key, blob: StoredBlob, done: Event,
+                     tally: bool = True) -> None:
+        """Queue the asynchronous neighbor copy (and the PFS copy, every
+        ``pfs_every``-th version) on the world's copy plane."""
+        CheckpointManager.of(self.ctx.world).submit(self, key, blob, done,
+                                                    tally=tally)
 
     def shutdown(self) -> None:
-        """Stop the helper thread (flushes queued jobs first)."""
-        self._jobs.put(_SHUTDOWN)
+        """Interface parity; the copy plane has no per-library thread."""
 
     # ------------------------------------------------------------------
     # read path
@@ -411,12 +317,7 @@ class CheckpointLib:
         # my own neighbor may hold my blob from before a migration
         if self.neighbor_node is not None:
             nodes.append(self.neighbor_node)
-        seen, ordered = set(), []
-        for n in nodes:
-            if n not in seen:
-                seen.add(n)
-                ordered.append(n)
-        return ordered
+        return list(dict.fromkeys(nodes))
 
     def restorable_latest(self, extra_nodes: Sequence[int] = ()) -> int:
         """Newest version this rank can restore from any source, or -1."""
@@ -435,16 +336,21 @@ class CheckpointLib:
 
     def has_local(self, version: int) -> bool:
         """Whether this rank's own node holds the version."""
-        return self._local_store().has((self.config.tag, self.logical_rank, version))
+        return self._local_store_obj.has((self.config.tag, self.logical_rank, version))
 
     def _reprotect(self, key: Key, blob: StoredBlob):
         """Generator: re-establish local + neighbor copies after a remote
-        restore (otherwise the *next* failure would find no local data)."""
+        restore (otherwise the *next* failure would find no local data).
+
+        The neighbor copy queues on the copy plane behind any copy of
+        this library still in flight; it is not a commit, so it stays out
+        of the manager's ``mirror_*`` phase totals.
+        """
         yield Sleep(blob.nominal_bytes / self.config.local_bandwidth)
-        store = self._local_store()
-        store.put_pruned(key, blob, self.config.keep_versions)
+        self._local_store_obj.put_pruned(key, blob, self.config.keep_versions)
         self.stats["local_writes"] += 1
-        self._jobs.put((key, blob, Event(name=f"reprotect-{self.ctx.rank}")))
+        self._submit_copy(key, blob, Event(name=f"reprotect-{self.ctx.rank}"),
+                          tally=False)
 
     def read_checkpoint(
         self, version: Optional[int] = None,
@@ -480,7 +386,8 @@ class CheckpointLib:
             ):
                 continue
             blob = store.get(key)
-            if node_id == self.my_node:
+            source = "local" if node_id == self.my_node else "neighbor"
+            if source == "local":
                 yield Sleep(blob.nominal_bytes / self.config.local_bandwidth)
                 self.stats["local_reads"] += 1
             else:
@@ -493,12 +400,9 @@ class CheckpointLib:
             if tracer.enabled:
                 tracer.emit(self.ctx.now, self.ctx.rank, "restore",
                             dur=self.ctx.now - t0, version=version,
-                            source=("local" if node_id == self.my_node
-                                    else "neighbor"))
-            self._record_restore(
-                "local" if node_id == self.my_node else "neighbor",
-                blob.nominal_bytes, self.ctx.now - t0,
-            )
+                            source=source)
+            self._record_restore(source, blob.nominal_bytes,
+                                 self.ctx.now - t0)
             return version, unpack_checkpoint(blob.data)
         if self.pfs is not None and self.pfs.has(key):
             blob = yield from self.pfs.read(key)
@@ -521,76 +425,35 @@ class CheckpointLib:
 
 
 @dataclass(slots=True)
-class _MirrorRequest:
-    """One rank's pending neighbor mirror on the round data plane."""
+class _CopyRequest:
+    """One library's pending asynchronous copy, to all of its holders.
 
-    manager: "CheckpointManager"
-    lib: CheckpointLib
-    key: "Key"
-    blob: StoredBlob
-    mirrored: Event
-    t_start: float = 0.0
-    neighbor_rank: Optional[int] = None
-    node_id: Optional[int] = None
-    expected: float = 0.0
-    stage: int = 0
-    segment: Optional[Any] = None
-    store: Optional[NodeLocalStore] = None
-
-    def apply(self) -> None:
-        """Delivery callback: land the bytes, then the helper epilogue.
-
-        The remote window was resolved during flush classification; the
-        blob snapshot is immutable, so slicing the staged prefix here is
-        byte-identical to binding it at post time.  A writer that died
-        mid-flight takes no completion actions, like its dead helper
-        thread wouldn't.
-        """
-        stage = self.stage
-        data = self.blob.data
-        self.segment.write_view(0, stage)[:] = (
-            data if stage == len(data) else memoryview(data)[:stage]
-        )
-        if self.lib._endpoint_obj.alive:
-            self.manager._finish_delivery(self)
-
-    def hang(self) -> None:
-        """Arm the scalar path's flush timeout lazily (only hung ops
-        ever need it): purge the queue and report the failed mirror."""
-        manager = self.manager
-        manager.sim.schedule_at(
-            self.t_start + (self.expected * 1.5 + 1.0),
-            lambda: manager._on_timeout(self),
-        )
-
-
-@dataclass(slots=True)
-class _ScatterRequest:
-    """One rank's pending ReStore replica scatter (all ``r`` copies).
-
-    The request completes — firing ``protected`` with the landed-copy
-    count — once every copy either landed on its holder or failed
-    (dead holder, severed path, flush timeout).
+    Once every copy landed or failed, the due PFS copy runs, ``done``
+    fires with the policy's value and the library's next request starts.
     """
 
     manager: "CheckpointManager"
-    lib: Any  # ReplicatedCheckpointLib (import cycle: typed loosely)
+    lib: Any  # CheckpointLib or ReplicatedCheckpointLib (duck-typed)
     key: Key
     blob: StoredBlob
-    protected: Event
+    done: Event
+    #: whether landed copies count in the manager's ``phase_totals``
+    tally: bool = True
+    #: the PFS to copy to once the holders resolved, when this version owes one
+    pfs: Optional[ParallelFileSystem] = None
     t_start: float = 0.0
-    #: copies still in flight; the request finishes when this hits zero
+    #: copies still in flight; the request resolves when this hits zero
     pending: int = 0
-    #: copies that actually landed on a live holder
+    #: copies that actually landed
     landed: int = 0
 
 
 @dataclass(slots=True)
-class _ScatterCopy:
-    """One replica copy of a :class:`_ScatterRequest` (one holder)."""
+class _Copy:
+    """One holder's copy of a :class:`_CopyRequest`."""
 
-    request: _ScatterRequest
-    holder_rank: int
+    request: _CopyRequest
+    holder: int
     node_id: int
     expected: float = 0.0
     stage: int = 0
@@ -598,54 +461,58 @@ class _ScatterCopy:
 
     def apply(self) -> None:
         """Delivery callback: land the staged bytes in the holder's
-        replica window, then the landing epilogue (store + index)."""
+        window (the blob snapshot is immutable, so slicing it now equals
+        binding it at post time), then the landing epilogue — unless the
+        writer died mid-flight."""
         stage = self.stage
         data = self.request.blob.data
         self.segment.write_view(0, stage)[:] = (
             data if stage == len(data) else memoryview(data)[:stage]
         )
         if self.request.lib._endpoint_obj.alive:
-            self.request.manager._land_copy(self)
+            self.request.manager._land(self)
 
     def hang(self) -> None:
-        """Arm the scatter flush timeout lazily: purge the owner's
-        scatter queue and count this copy as failed."""
-        manager = self.request.manager
+        """Arm the flush timeout lazily (only hung ops ever need it):
+        purge the writer's copy queue and count this copy as failed."""
+        request = self.request
+        manager = request.manager
         manager.sim.schedule_at(
-            self.request.t_start + (self.expected * 1.5 + 1.0),
-            lambda: manager._on_scatter_timeout(self),
+            request.t_start + (self.expected * 1.5 + 1.0),
+            lambda: manager._fail(self),
         )
 
 
 class CheckpointManager:
-    """World-level round-batched checkpoint mirror plane.
+    """World-level round copy plane for every asynchronous checkpoint copy.
 
     One instance per :class:`~repro.gaspi.runtime.GaspiWorld` (attached
-    lazily via :meth:`of`).  It replaces the per-library helper thread's
-    per-neighbor work with whole-round batch operations while reproducing
-    the helper's observable behaviour bit-for-bit:
+    lazily via :meth:`of`).  A copy request names a library, a key and a
+    blob; the library's ``holders`` say where the copies go and its
+    ``landing`` policy (:class:`LandingPolicy`) what a landed copy means.
+    The neighbor mirror is the one-holder case of the ReStore replica
+    scatter, so both — and the re-protection after a remote restore — run
+    one chain: submit → flush → post → timeout → land → finish.
 
     * **shared staging arena** — every blob of a round packs through one
       grown-geometrically buffer (one ``packed_size`` prefix-sum, one
-      ``pack_checkpoint_into`` view per rank) instead of per-library
-      staging copies;
-    * **same-tick coalescing** — mirrors signalled within one simulated
-      tick (each rank's ``write_checkpoint`` finishing its local write at
-      the same instant) flush as *one* scatter round priced by a single
-      vectorized :meth:`Network.transfer_time_round` call per direction
-      (:meth:`Transport.post_rdma_scatter`), with per-op path re-checks at
-      delivery, per-op hang/timeout/purge semantics, and per-library FIFO
-      ordering of back-to-back mirrors;
-    * **cached neighbor maps** — the O(n) ``ring_neighbors`` kernel builds
-      each participant set's full map once; every library refresh against
-      the same set is a dict lookup;
-    * **phase totals** — mirror and restore bytes/latency accumulated for
-      the ``recovery_compare`` experiment's per-phase reporting.
+      ``pack_checkpoint_into`` view per rank);
+    * **same-tick coalescing** — copies signalled within one simulated
+      tick flush as *one* round priced by a single vectorized
+      :meth:`Network.transfer_time_round` call per direction
+      (:meth:`Transport.post_rdma_scatter`), with per-copy path re-checks
+      at delivery, per-copy hang/timeout/purge semantics, and per-library
+      FIFO ordering of back-to-back copies;
+    * **PFS duty** — a version that owes a PFS copy writes it after its
+      holders resolved and before its event fires, in a process bound to
+      the writer's rank (a writer that dies meanwhile completes nothing);
+    * **cached placement maps** and **phase totals** (copy and restore
+      bytes/latency for ``recovery_compare``'s per-phase reporting).
 
-    The only intentional divergence from the scalar helper: the writer's
-    *own* staging-window copy (a local scratch write the scalar path makes
-    before posting) is skipped — remote bytes, store contents, stats,
-    events and virtual timestamps are identical.
+    The plane reproduces the per-library helper-thread pipeline of the
+    paper's Fig. 2 (``repro.perf.helper_mirror.HelperMirrorLib``, the
+    test oracle) bit-for-bit, except for the helper's scratch copy into
+    the writer's *own* staging window.
     """
 
     _ATTR = "_checkpoint_manager"
@@ -655,6 +522,9 @@ class CheckpointManager:
         self.sim = world.sim
         self.machine = world.machine
         self.transport = world.transport
+        #: rank -> node, resolved once (placement never changes)
+        self._node_of: List[int] = [
+            world.machine.node_of(r) for r in range(world.machine.n_ranks)]
         #: bound reachability check (the network object never changes)
         self._reachable: Callable[[int, int], bool] = (
             world.machine.network.reachable
@@ -664,12 +534,8 @@ class CheckpointManager:
         #: shared pack arena, grown geometrically and never shrunk
         self._arena = bytearray()
         #: requests accumulated in the current tick, flushed as one round
-        self._pending: List[_MirrorRequest] = []
+        self._pending: List[_CopyRequest] = []
         self._sealed = False
-        #: replica scatters accumulated in the current tick (the ReStore
-        #: backend's analogue of ``_pending``, flushed as one round)
-        self._scatter_pending: List[_ScatterRequest] = []
-        self._scatter_sealed = False
         #: participant-tuple -> {rank: neighbor} map cache (tiny LRU; a
         #: run only ever sees a handful of participant sets)
         self._neighbor_maps: "OrderedDict[Tuple[int, ...], Dict[int, Optional[int]]]" = OrderedDict()
@@ -722,9 +588,10 @@ class CheckpointManager:
     def pack_blob(self, payload: Dict[str, np.ndarray]) -> bytes:
         """Pack one payload through the shared arena (stored snapshot out).
 
-        Byte-identical to ``CheckpointLib._pack_to_staging`` — same wire
-        format, same streaming CRC — but every library of the world shares
-        one warm buffer instead of growing its own.
+        The zero-copy pack writes straight into the arena (one byte move +
+        streaming CRC); the single ``bytes()`` at the end is the immutable
+        snapshot the node store keeps — it must not alias the arena, which
+        the next checkpoint overwrites.
         """
         size = packed_size(payload)
         arena = self._reserve(size)
@@ -757,7 +624,7 @@ class CheckpointManager:
         return out
 
     # ------------------------------------------------------------------
-    # neighbor map cache
+    # placement map caches
     # ------------------------------------------------------------------
     def neighbor_map_for(
         self, participants: Tuple[int, ...]
@@ -829,236 +696,64 @@ class CheckpointManager:
         return list(self._replica_versions.get((tag, logical_rank), ()))
 
     # ------------------------------------------------------------------
-    # round data plane
+    # round copy plane
     # ------------------------------------------------------------------
-    def submit(self, lib: CheckpointLib, key: "Key", blob: StoredBlob,
-               mirrored: Event) -> None:
-        """Register one rank's mirror request (the helper-signal analogue).
+    def submit(self, lib: Any, key: Key, blob: StoredBlob, done: Event,
+               tally: bool = True) -> None:
+        """Register one library's asynchronous copy to its holders.
 
         Requests submitted in the same tick coalesce into one flush round;
-        a request for a library whose previous mirror is still in flight
-        queues behind it (the job-channel FIFO of the scalar path).
+        a request for a library whose previous copy is still in flight
+        queues behind it.  ``tally=False`` keeps the landed copies out of
+        :attr:`phase_totals`.
         """
-        request = _MirrorRequest(self, lib, key, blob, mirrored)
-        if lib._round_inflight is not None:
-            lib._round_deferred.append(request)
+        request = _CopyRequest(self, lib, key, blob, done, tally)
+        every = lib.config.pfs_every
+        if (every and lib.landing.pfs_duty and lib.pfs is not None
+                and key[2] % every == 0):
+            request.pfs = lib.pfs
+        lane = lib.lane
+        if lane.inflight is not None:
+            lane.deferred.append(request)
             return
-        lib._round_inflight = request
-        # _enqueue, inlined on the every-rank-every-round path
-        self._pending.append(request)
-        if not self._sealed:
-            self._sealed = True
-            self.sim.schedule(0.0, self._flush)
+        lane.inflight = request
+        self._enqueue(request)
 
-    def _enqueue(self, request: _MirrorRequest) -> None:
+    def _enqueue(self, request: _CopyRequest) -> None:
         self._pending.append(request)
         if not self._sealed:
             self._sealed = True
             self.sim.schedule(0.0, self._flush)
 
     def _flush(self) -> None:
-        """Close the tick's round and drive every mirror to completion.
+        """Close the tick's round, one copy per (writer, holder).
 
-        Reproduces the helper-loop timeline per request: neighborless
-        requests resolve immediately; requests whose transfer is only
-        modeled (missing remote mirror segment, empty staging window, or a
-        full mirror queue) complete after their expected transfer time;
-        the rest ship as one scatter round on each library's dedicated
-        mirror queue, land at delivery+ack with the path re-checked there,
-        and a severed path leaves the op hung until the scalar path's
+        A request without holders resolves immediately.  A copy whose
+        transfer is only modeled (no landing window on the holder, empty
+        staging prefix, or a full copy queue) lands after its expected
+        transfer time; the rest ship as one scatter round on each
+        library's dedicated queue, land at delivery+ack with the path
+        re-checked there, and a severed path leaves the op hung until the
         flush timeout purges the queue.  A writer that died mid-flight
-        takes no completion actions — its helper would have died with it.
+        takes no completion actions.
         """
         requests, self._pending, self._sealed = self._pending, [], False
         sim = self.sim
         now = sim.now
-        live: List[_MirrorRequest] = []
-        for request in requests:
-            lib = request.lib
-            request.t_start = now
-            request.neighbor_rank = lib.neighbor_rank
-            request.node_id = lib._neighbor_node
-            request.store = lib._neighbor_store_obj
-            if request.node_id is None:
-                self._finish(request, copied=False)
-            else:
-                live.append(request)
-        if not live:
-            return
-        n = len(live)
-        network = self.machine.network
-        src_nodes = np.fromiter(
-            (r.lib._my_node for r in live), dtype=np.int64, count=n
-        )
-        dst_nodes = np.fromiter(
-            (r.node_id for r in live), dtype=np.int64, count=n
-        )
-        nominal = np.fromiter(
-            (r.blob.nominal_bytes for r in live), dtype=np.int64, count=n
-        )
-        expected = network.transfer_time_round(src_nodes, dst_nodes, nominal)
-        expected_list = expected.tolist()
-        contexts = self.world.contexts
-        modeled: List[_MirrorRequest] = []
-        modeled_t = []
-        wired: List[_MirrorRequest] = []
-        for j, request in enumerate(live):
-            request.expected = expected_list[j]
-            lib = request.lib
-            segment = contexts[request.neighbor_rank].segments.find(
-                lib.config.mirror_segment
-            )
-            stage = min(len(request.blob.data), lib._mirror_seg_size)
-            if (segment is None or stage == 0
-                    or lib._mirror_queue_obj.full):
-                # the scalar fallback/QUEUE_FULL branches: Sleep(expected),
-                # count the copy as delivered without touching the wire
-                modeled.append(request)
-                modeled_t.append(sim.now + request.expected)
-                continue
-            request.stage = stage
-            request.segment = segment
-            wired.append(request)
-        if modeled:
-            t_arr = np.asarray(modeled_t, dtype=np.float64)
-            for t_val in np.unique(t_arr).tolist():
-                group = [modeled[i] for i in np.nonzero(t_arr == t_val)[0]]
-
-                def finish_modeled(group: List[_MirrorRequest] = group) -> None:
-                    for request in group:
-                        if request.lib._endpoint_obj.alive:
-                            self._finish_delivery(request)
-
-                sim.schedule_at(t_val, finish_modeled)
-        if wired:
-            self._post_wired(wired)
-
-    def _post_wired(self, wired: List[_MirrorRequest]) -> None:
-        transport = self.world.transport
-        srcs: List[int] = []
-        dsts: List[Optional[int]] = []
-        sizes: List[int] = []
-        write_counts: List[int] = []
-        apply_fns: List[Callable[[], Any]] = []
-        hang_fns: List[Callable[[], None]] = []
-        for request in wired:
-            srcs.append(request.lib.ctx.rank)
-            dsts.append(request.neighbor_rank)
-            sizes.append(request.blob.nominal_bytes)
-            # the scalar path chunks the staged prefix into <= 8 list
-            # entries; replicate the entry count for identical rdma stats
-            chunk = max(1, (request.stage + 7) // 8)
-            write_counts.append(-(-request.stage // chunk))
-            apply_fns.append(request.apply)
-            hang_fns.append(request.hang)
-        events = transport.post_rdma_scatter(
-            srcs, dsts, sizes, apply_fns, hang_fns, write_counts
-        )
-        for request, event in zip(wired, events):
-            request.lib._mirror_queue_obj.post(event)
-
-    def _on_timeout(self, request: _MirrorRequest) -> None:
-        if not request.lib._endpoint_obj.alive:
-            return
-        request.lib.ctx.queue_purge(request.lib._mirror_queue)
-        self._finish(request, copied=False)
-
-    def _finish_delivery(self, request: _MirrorRequest) -> None:
-        """Post-transfer bookkeeping, exactly the helper loop's epilogue."""
-        lib = request.lib
-        node_id = request.node_id
-        store = request.store
-        copied = False
-        if store.available and self._reachable(lib._my_node, node_id):
-            now = self.sim.now
-            store.put_pruned(request.key, request.blob,
-                             lib.config.keep_versions)
-            lib.stats["neighbor_copies"] += 1
-            copied = True
-            tracer = lib._tracer
-            if tracer.enabled:
-                tracer.emit(now, lib.ctx.rank, "ckpt_mirror",
-                            dur=now - request.t_start,
-                            version=request.key[2], node=node_id)
-            totals = self.phase_totals
-            totals["mirror_ops"] += 1
-            totals["mirror_bytes"] += request.blob.nominal_bytes
-            totals["mirror_s"] += now - request.t_start
-        # _finish, inlined on the every-rank-every-round path
-        request.mirrored.succeed(copied)
-        lib._round_inflight = None
-        if lib._round_deferred:
-            nxt = lib._round_deferred.popleft()
-            lib._round_inflight = nxt
-            self._enqueue(nxt)
-
-    def _finish(self, request: _MirrorRequest, copied: bool) -> None:
-        request.mirrored.succeed(copied)
-        lib = request.lib
-        lib._round_inflight = None
-        if lib._round_deferred:
-            nxt = lib._round_deferred.popleft()
-            lib._round_inflight = nxt
-            self._enqueue(nxt)
-
-    # ------------------------------------------------------------------
-    # replica scatter plane (ReStore backend)
-    # ------------------------------------------------------------------
-    def submit_scatter(self, lib: Any, key: Key, blob: StoredBlob,
-                       protected: Event) -> None:
-        """Register one rank's replica scatter (ReStore commit).
-
-        Scatters submitted in the same tick coalesce into one round priced
-        by a single ``transfer_time_round`` call over *all* copies; a
-        scatter for a library whose previous scatter is still in flight
-        queues behind it (same FIFO discipline as the mirror plane).
-        """
-        request = _ScatterRequest(self, lib, key, blob, protected)
-        if lib._repl_inflight is not None:
-            lib._repl_deferred.append(request)
-            return
-        lib._repl_inflight = request
-        self._scatter_pending.append(request)
-        if not self._scatter_sealed:
-            self._scatter_sealed = True
-            self.sim.schedule(0.0, self._flush_scatter)
-
-    def _flush_scatter(self) -> None:
-        """Close the tick's scatter round, one copy per (owner, holder).
-
-        Classification per copy mirrors :meth:`_flush`: a holder without
-        the replica segment, an empty staging prefix, or a full scatter
-        queue is only modeled (completes after its expected transfer
-        time); the rest ship as one ``post_rdma_scatter`` on the owner's
-        dedicated scatter queue, with per-copy path re-checks at landing
-        and hang/timeout/purge semantics for severed paths.  An owner that
-        died mid-flight takes no completion actions.
-        """
-        requests: List[_ScatterRequest]
-        requests, self._scatter_pending, self._scatter_sealed = (
-            self._scatter_pending, [], False
-        )
-        sim = self.sim
-        now = sim.now
-        node_of = self.machine.node_of
-        copies: List[_ScatterCopy] = []
+        node_of = self._node_of
+        copies: List[_Copy] = []
         for request in requests:
             request.t_start = now
-            holders: List[int] = list(request.lib.replica_ranks)
+            holders = request.lib.holders
             if not holders:
-                # no holders placeable (e.g. every other node excluded):
-                # the commit completes immediately, zero copies landed
-                self._finish_scatter(request)
+                self._finish(request)
                 continue
             request.pending = len(holders)
-            copies.extend(
-                _ScatterCopy(request, holder, node_of(holder))
-                for holder in holders
-            )
+            for holder in holders:
+                copies.append(_Copy(request, holder, node_of[holder]))
         if not copies:
             return
         n = len(copies)
-        network = self.machine.network
         src_nodes = np.fromiter(
             (c.request.lib._my_node for c in copies), dtype=np.int64, count=n
         )
@@ -1069,123 +764,135 @@ class CheckpointManager:
             (c.request.blob.nominal_bytes for c in copies),
             dtype=np.int64, count=n,
         )
-        expected = network.transfer_time_round(src_nodes, dst_nodes, nominal)
-        expected_list = expected.tolist()
+        expected = self.machine.network.transfer_time_round(
+            src_nodes, dst_nodes, nominal).tolist()
         contexts = self.world.contexts
-        modeled: List[_ScatterCopy] = []
-        modeled_t = []
-        wired: List[_ScatterCopy] = []
-        for j, copy in enumerate(copies):
-            copy.expected = expected_list[j]
-            lib = copy.request.lib
-            segment = contexts[copy.holder_rank].segments.find(
-                lib.config.replica_segment
-            )
-            stage = min(len(copy.request.blob.data), lib._replica_seg_size)
-            if (segment is None or stage == 0
-                    or lib._scatter_queue_obj.full):
-                modeled.append(copy)
-                modeled_t.append(now + copy.expected)
+        modeled: Dict[float, List[_Copy]] = {}
+        wired: List[_Copy] = []
+        for copy, t_copy in zip(copies, expected):
+            copy.expected = t_copy
+            lane = copy.request.lib.lane
+            segment = contexts[copy.holder].segments.find(lane.segment)
+            stage = min(len(copy.request.blob.data), lane.seg_size)
+            if segment is None or stage == 0 or lane.queue_obj.full:
+                # nothing to put on the wire (or QUEUE_FULL): the copy
+                # is only modeled and lands after its expected time
+                modeled.setdefault(now + t_copy, []).append(copy)
                 continue
             copy.stage = stage
             copy.segment = segment
             wired.append(copy)
-        if modeled:
-            t_arr = np.asarray(modeled_t, dtype=np.float64)
-            for t_val in np.unique(t_arr).tolist():
-                group = [modeled[i] for i in np.nonzero(t_arr == t_val)[0]]
+        for t_val in sorted(modeled):
+            def land_modeled(group: List[_Copy] = modeled[t_val]) -> None:
+                for copy in group:
+                    if copy.request.lib._endpoint_obj.alive:
+                        self._land(copy)
 
-                def land_modeled(group: List[_ScatterCopy] = group) -> None:
-                    for copy in group:
-                        if copy.request.lib._endpoint_obj.alive:
-                            self._land_copy(copy)
-
-                sim.schedule_at(t_val, land_modeled)
+            sim.schedule_at(t_val, land_modeled)
         if wired:
-            self._post_scatter_wired(wired)
+            events = self.transport.post_rdma_scatter(
+                [c.request.lib.ctx.rank for c in wired],
+                [c.holder for c in wired],
+                [c.request.blob.nominal_bytes for c in wired],
+                [c.apply for c in wired],
+                [c.hang for c in wired],
+                # a write_list chunks the staged prefix into <= 8 entries;
+                # the same entry count keeps the rdma statistics identical
+                [-(-c.stage // max(1, (c.stage + 7) // 8)) for c in wired],
+            )
+            for copy, event in zip(wired, events):
+                copy.request.lib.lane.queue_obj.post(event)
 
-    def _post_scatter_wired(self, wired: List[_ScatterCopy]) -> None:
-        transport = self.world.transport
-        srcs: List[int] = []
-        dsts: List[Optional[int]] = []
-        sizes: List[int] = []
-        write_counts: List[int] = []
-        apply_fns: List[Callable[[], Any]] = []
-        hang_fns: List[Callable[[], None]] = []
-        for copy in wired:
-            srcs.append(copy.request.lib.ctx.rank)
-            dsts.append(copy.holder_rank)
-            sizes.append(copy.request.blob.nominal_bytes)
-            # same <= 8 list-entry chunking as the read path, for
-            # identical rdma op statistics
-            chunk = max(1, (copy.stage + 7) // 8)
-            write_counts.append(-(-copy.stage // chunk))
-            apply_fns.append(copy.apply)
-            hang_fns.append(copy.hang)
-        events = transport.post_rdma_scatter(
-            srcs, dsts, sizes, apply_fns, hang_fns, write_counts
-        )
-        for copy, event in zip(wired, events):
-            copy.request.lib._scatter_queue_obj.post(event)
+    #: the replica flush's former name; ``perfbench/ledger.py`` still
+    #: wraps it by name, so it stays an alias of the one flush
+    _flush_scatter = _flush
 
-    def _on_scatter_timeout(self, copy: _ScatterCopy) -> None:
+    def _fail(self, copy: _Copy) -> None:
+        """Flush timeout of a hung copy: purge the writer's copy queue."""
         request = copy.request
         lib = request.lib
         if not lib._endpoint_obj.alive:
             return
-        lib.ctx.queue_purge(lib._scatter_queue)
-        lib.stats["failed_copies"] += 1
+        lib.ctx.queue_purge(lib.lane.queue)
+        failed_stat = lib.landing.failed_stat
+        if failed_stat is not None:
+            lib.stats[failed_stat] += 1
         request.pending -= 1
         if request.pending == 0:
-            self._finish_scatter(request)
+            self._finish(request)
 
-    def _land_copy(self, copy: _ScatterCopy) -> None:
-        """Landing epilogue of one replica copy: store + location index.
+    def _land(self, copy: _Copy) -> None:
+        """Landing epilogue of one copy, as the library's policy says.
 
-        The copy only counts when the holder process is alive, its node
-        is up, and the path from the owner is intact — ReStore's
-        in-memory-of-another-process semantics: a dead holder process
-        loses the replica even if its node survived.
+        The copy counts only when its holder node is up and the path from
+        the writer is intact — and, for an in-memory replica, when the
+        holder process is alive (a dead holder process loses the replica
+        even if its node survived).
         """
         request = copy.request
         lib = request.lib
-        now = self.sim.now
+        policy = lib.landing
         store = self._store(copy.node_id)
-        if (self.transport.endpoint(copy.holder_rank).alive
+        if ((not policy.holder_process
+                or self.transport.endpoint(copy.holder).alive)
                 and store.available
                 and self._reachable(lib._my_node, copy.node_id)):
+            now = self.sim.now
             key = request.key
-            store.put_pruned(("repl:" + key[0], key[1], key[2]),
-                             request.blob, lib.config.keep_versions)
-            self.record_replica(key, copy.holder_rank)
-            lib.stats["replica_copies"] += 1
+            blob = request.blob
+            if policy.prefix:
+                store.put_pruned((policy.prefix + key[0], key[1], key[2]),
+                                 blob, lib.config.keep_versions)
+                self.record_replica(key, copy.holder)
+            else:
+                store.put_pruned(key, blob, lib.config.keep_versions)
+            lib.stats[policy.stat] += 1
             request.landed += 1
             tracer = lib._tracer
             if tracer.enabled:
-                tracer.emit(now, lib.ctx.rank, "ckpt_scatter",
+                where = ({"holder": copy.holder, "node": copy.node_id}
+                         if policy.prefix else {"node": copy.node_id})
+                tracer.emit(now, lib.ctx.rank, policy.event,
                             dur=now - request.t_start, version=key[2],
-                            holder=copy.holder_rank, node=copy.node_id)
-            totals = self.phase_totals
-            totals["scatter_ops"] += 1
-            totals["scatter_bytes"] += request.blob.nominal_bytes
-            totals["scatter_s"] += now - request.t_start
-        else:
-            lib.stats["failed_copies"] += 1
+                            **where)
+            if request.tally:
+                totals = self.phase_totals
+                ops, nbytes, secs = policy.totals
+                totals[ops] += 1
+                totals[nbytes] += blob.nominal_bytes
+                totals[secs] += now - request.t_start
+        elif policy.failed_stat is not None:
+            lib.stats[policy.failed_stat] += 1
         request.pending -= 1
         if request.pending == 0:
-            self._finish_scatter(request)
+            self._finish(request)
 
-    def _finish_scatter(self, request: _ScatterRequest) -> None:
-        request.protected.succeed(request.landed)
+    def _finish(self, request: _CopyRequest) -> None:
+        """Every holder resolved: the due PFS copy first, then fire the
+        request's event and start the library's next copy."""
         lib = request.lib
-        lib._repl_inflight = None
-        if lib._repl_deferred:
-            nxt = lib._repl_deferred.popleft()
-            lib._repl_inflight = nxt
-            self._scatter_pending.append(nxt)
-            if not self._scatter_sealed:
-                self._scatter_sealed = True
-                self.sim.schedule(0.0, self._flush_scatter)
+        pfs = request.pfs
+        if pfs is not None:
+            request.pfs = None
+            if lib._endpoint_obj.alive:
+                lib.ctx.world.launch(lib.ctx.rank,
+                                     self._pfs_copy(request, pfs),
+                                     name=f"ckpt-pfs-{lib.ctx.rank}")
+            return
+        request.done.succeed(lib.landing.fired(request.landed))
+        lane = lib.lane
+        lane.inflight = None
+        if lane.deferred:
+            nxt = lane.deferred.popleft()
+            lane.inflight = nxt
+            self._enqueue(nxt)
+
+    def _pfs_copy(self, request: _CopyRequest, pfs: ParallelFileSystem):
+        """Generator: the version's PFS copy, in a process bound to the
+        writer's rank (a writer that dies meanwhile completes nothing)."""
+        yield from pfs.write(request.key, request.blob)
+        request.lib.stats["pfs_copies"] += 1
+        self._finish(request)
 
     # ------------------------------------------------------------------
     # whole-round commit (the coordinator API)
@@ -1201,36 +908,23 @@ class CheckpointManager:
 
         Equivalent to every rank in ``payloads`` calling its library's
         ``write_checkpoint(version, payload)`` in the same tick — same
-        store contents, stats, tracer events and virtual timestamps — but
-        driven by one coordinator: a single arena :meth:`pack_round`, one
-        grouped callback per distinct local-write duration, and the
-        manager's round mirror plane.  Returns ``{rank: mirrored_event}``
-        once the *synchronous* part (every rank's local write) finished;
-        the mirrors complete in the background like the scalar path.  A
-        rank that dies before its local write completes takes no actions,
-        like its killed generator wouldn't.
+        stores, stats, tracer events and virtual timestamps — but driven
+        by one coordinator: one arena :meth:`pack_round` and one grouped
+        callback per distinct local-write duration.  Returns ``{rank:
+        mirrored_event}`` once every local write finished; a rank that
+        dies before its local write completes takes no actions.
         """
         ranks = sorted(payloads)
         sim = self.sim
         t0 = sim.now
         blobs = self.pack_round([payloads[r] for r in ranks])
-        if isinstance(nominal_bytes, int):
-            flat_nominal: Optional[int] = nominal_bytes
-            nominal_map: Optional[Mapping[int, int]] = None
-        else:
-            flat_nominal = None
-            nominal_map = nominal_bytes
-        items: List[Tuple[CheckpointLib, "Key", StoredBlob, Event]] = []
+        items: List[Tuple[CheckpointLib, Key, StoredBlob, Event]] = []
         mirrors: Dict[int, Event] = {}
         durations = np.empty(len(ranks), dtype=np.float64)
         for i, (rank, data) in enumerate(zip(ranks, blobs)):
             lib = libs[rank]
-            if flat_nominal is not None:
-                nom = flat_nominal
-            elif nominal_map is not None:
-                nom = nominal_map.get(rank) or len(data)
-            else:
-                nom = len(data)
+            nom = (nominal_bytes if isinstance(nominal_bytes, int)
+                   else (nominal_bytes or {}).get(rank) or len(data))
             blob = StoredBlob(data=data, nominal_bytes=nom)
             key = (lib.config.tag, lib.logical_rank, version)
             # event names are diagnostic only: a constant name keeps the

@@ -26,11 +26,9 @@ PFS-only baseline the paper argues against) — plus the
 
 from __future__ import annotations
 
-from collections import deque
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     Generator,
     Iterable,
@@ -48,9 +46,11 @@ from repro.gaspi.constants import ReturnCode
 from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import _Members
 from repro.checkpoint.manager import (
+    REPLICA,
     CheckpointConfig,
     CheckpointLib,
     CheckpointManager,
+    CopyLane,
 )
 from repro.checkpoint.pfs import ParallelFileSystem
 from repro.checkpoint.serialization import unpack_checkpoint
@@ -144,10 +144,12 @@ class ReplicatedCheckpointLib:
     other ranks instead of one neighbor-node mirror:
 
     * **commit** — pack through the world manager's shared arena, charge
-      the staging cost, then hand the blob to the manager's round scatter
-      plane (one ``transfer_time_round``-priced scatter per tick for all
-      ranks' copies together).  The returned event fires with the number
-      of copies that actually landed.
+      the staging cost, then hand the blob to the manager's round copy
+      plane with this library's ``r`` holders and the
+      :data:`~repro.checkpoint.manager.REPLICA` landing policy (one
+      ``transfer_time_round``-priced scatter per tick for all ranks'
+      copies together).  The returned event fires with the number of
+      copies that actually landed.
     * **recovery** — look up where replicas *actually* landed (the
       manager's location index), fetch the surviving set with one batched
       ``read_list`` per holder (each priced as its share of the blob),
@@ -161,6 +163,8 @@ class ReplicatedCheckpointLib:
     loses every copy it hosted (the ``"repl:"``-namespaced store keys die
     with ``Node.wipe``).
     """
+
+    landing = REPLICA
 
     def __init__(
         self,
@@ -182,23 +186,17 @@ class ReplicatedCheckpointLib:
         self.pfs = pfs
         self.participants: Sequence[int] = _Members.intern(
             tuple(sorted(participants)))
-        #: current replica holders (placement, not location — reads use
-        #: the manager's location index instead)
-        self.replica_ranks: List[int] = []
+        #: current replica holders — the copy plane's holder list
+        #: (placement, not location: reads use the manager's location
+        #: index instead)
+        self.holders: List[int] = []
         self.refresh(self.participants)
-        # GASPI data plane: a block landing window plus two dedicated
-        # queues, so scatters and fetches never contend with queue 0.
-        # Same-shaped landing windows share one pooled arena allocation.
-        if self.config.replica_segment not in ctx.segments:
-            ctx.segment_create_pooled(self.config.replica_segment,
-                                      self.config.mirror_window)
-        self._scatter_queue = ctx.queue_create()
-        self._scatter_queue_obj = ctx.queue(self._scatter_queue)
+        # GASPI data plane: the block landing window and scatter queue of
+        # the copy plane, plus a dedicated fetch queue, so scatters and
+        # fetches never contend with queue 0
+        self.lane = CopyLane(ctx, self.config.replica_segment,
+                             self.config.mirror_window)
         self._fetch_queue = ctx.queue_create()
-        self._replica_seg_size = ctx.segment(self.config.replica_segment).size
-        #: round-scatter FIFO bookkeeping (the manager's per-lib queue)
-        self._repl_inflight: Optional[Any] = None
-        self._repl_deferred: Deque[Any] = deque()
         self.stats = {"local_writes": 0, "replica_copies": 0,
                       "failed_copies": 0, "replica_reads": 0}
 
@@ -222,11 +220,11 @@ class ReplicatedCheckpointLib:
         if (self.ctx.rank in members.member_set()
                 and len(members) > 1):
             manager = CheckpointManager.of(self.ctx.world)
-            self.replica_ranks = list(manager.replica_map_for(
+            self.holders = list(manager.replica_map_for(
                 members, self.config.replication
             ).get(self.ctx.rank, ()))
         else:
-            self.replica_ranks = []
+            self.holders = []
 
     # ------------------------------------------------------------------
     # write path
@@ -255,11 +253,11 @@ class ReplicatedCheckpointLib:
                         dur=self.ctx.now - t0, version=version,
                         bytes=blob.nominal_bytes)
         protected = Event(name=f"ckpt-protected-{self.ctx.rank}-v{version}")
-        manager.submit_scatter(self, key, blob, protected)
+        manager.submit(self, key, blob, protected)
         return protected
 
     def shutdown(self) -> None:
-        """Interface parity; the scatter plane has no helper thread."""
+        """Interface parity; the copy plane has no per-library thread."""
 
     # ------------------------------------------------------------------
     # read path
@@ -376,7 +374,7 @@ class ReplicatedCheckpointLib:
                 t_wait = max(t_wait, network.transfer_time(
                     self._my_node, node_id, share
                 ))
-                stage = min(len(blob.data), self._replica_seg_size)
+                stage = min(len(blob.data), self.lane.seg_size)
                 remote = ctx.world.contexts[holder].segments.find(seg_id)
                 if stage == 0 or remote is None:
                     continue  # modeled share; its time is in t_wait
@@ -415,7 +413,7 @@ class ReplicatedCheckpointLib:
             payload = unpack_checkpoint(blob.data)
             if reprotect:
                 yield Sleep(blob.nominal_bytes / self.config.local_bandwidth)
-                manager.submit_scatter(
+                manager.submit(
                     self, key, blob,
                     Event(name=f"reprotect-{ctx.rank}-v{version}"),
                 )

@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.sim import Process, Simulator
+from repro.sim import Process, RngStreams, Simulator
 from repro.cluster.network import Network, NetworkParams
 from repro.cluster.node import Node
 from repro.cluster.topology import Topology, UniformTopology
@@ -48,9 +48,13 @@ class Machine:
         self.sim = sim
         self.spec = spec or MachineSpec()
         self.nodes: List[Node] = [Node(i) for i in range(self.spec.n_nodes)]
+        params = self.spec.network_params
         self.network = Network(
             topology=self.spec.topology or UniformTopology(),
-            params=self.spec.network_params,
+            params=params,
+            # jitter draws come from their own named stream, so a jittered
+            # run is reproducible and perturbs no other consumer
+            rng=RngStreams().stream("network-jitter") if params.jitter else None,
         )
         self.transport = Transport(sim, self.network, self.spec.transport_params)
         self._procs: Dict[int, List[Process]] = {}
@@ -97,7 +101,7 @@ class Machine:
         """Associate a running coroutine with its rank (runtime hook).
 
         A rank may have several coroutines bound (the main program plus
-        helper threads such as the checkpoint library's copy thread); a
+        work the rank owns, such as a checkpoint version's PFS copy); a
         fail-stop kills them all.
         """
         self._procs.setdefault(rank, []).append(proc)

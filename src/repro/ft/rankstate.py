@@ -114,11 +114,6 @@ class VectorizedKernels:
     batched_sweep = True
     #: whether notice broadcasts use the round-priced ``write_round`` fan
     round_broadcast = True
-    #: whether checkpoint mirrors route through the world-level
-    #: ``CheckpointManager`` round-batched data plane (one vectorized
-    #: pricing call + shared staging arena per mirror round) instead of
-    #: the per-library helper process
-    round_checkpoint = True
 
     # ------------------------------------------------------------------
     # detector state
@@ -300,7 +295,6 @@ class ScalarKernels:
     derive_targets_each_scan = True
     batched_sweep = False
     round_broadcast = False
-    round_checkpoint = False
 
     @staticmethod
     def avoid_mask(statuses: np.ndarray) -> np.ndarray:

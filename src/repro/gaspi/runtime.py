@@ -76,8 +76,8 @@ class GaspiWorld:
         """Spawn a generator as (part of) the process behind ``rank``.
 
         The process is bound to the rank on the machine, so a fail-stop of
-        the rank kills it.  Used for rank mains and for helper threads
-        (e.g. the checkpoint library's copy thread).
+        the rank kills it.  Used for rank mains and for work a rank owns
+        (e.g. a checkpoint version's PFS copy).
         """
         proc = self.sim.spawn(gen, name=name or f"rank{rank}")
         self.machine.bind_process(rank, proc)

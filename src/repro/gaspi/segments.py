@@ -22,6 +22,7 @@ O(ranks):
 
 from __future__ import annotations
 
+import mmap
 from typing import Any, Callable, Dict, Iterator, Optional, Set, Tuple, Union
 
 import numpy as np
@@ -70,7 +71,12 @@ class SegmentArena:
         pool = self._pools.get(pool_key)
         stride = -(-slot_size // self.ALIGN) * self.ALIGN
         if pool is None:
-            pool = np.zeros(stride * n_slots, dtype=np.uint8)
+            # an anonymous mapping is zero-filled lazily by the kernel, so
+            # only the pages slots actually touch become resident; calloc
+            # may instead memset a recycled heap chunk of the whole pool,
+            # which makes the resident size depend on the heap's history
+            pool = np.frombuffer(mmap.mmap(-1, stride * n_slots),
+                                 dtype=np.uint8)
             self._pools[pool_key] = pool
             self.allocations += 1
         start = index * stride

@@ -30,8 +30,8 @@ Metrics (all lower-is-better except the ladder maximum):
   checkpoint write+mirror round.  The vectorized mode commits whole
   rounds via ``CheckpointManager.commit_round`` (shared staging arena,
   one cached O(n) neighbor map, one round-priced mirror scatter); the
-  scalar reference runs the retained per-rank write + helper-thread
-  mirror pipeline.
+  scalar reference runs the per-rank write + helper-thread mirror
+  pipeline of :class:`repro.perf.helper_mirror.HelperMirrorLib`.
 * ``ranks_max_at_60s`` — the largest ladder rung whose fixed
   per-rank-workload scenario (one mid-run failure, full detect →
   promote → rebuild → restore cycle) completes within the wall cap.
@@ -162,9 +162,10 @@ def bench_ckpt_mirror_us_per_rank(n_ranks: int = REFERENCE_RANKS,
     vectorized mode drives the whole round through
     :meth:`repro.checkpoint.CheckpointManager.commit_round` (one shared
     arena pack, one cached neighbor map, one round-priced mirror
-    scatter); the scalar reference runs the retained per-rank
-    ``write_checkpoint`` + helper-thread pipeline, one mirror transfer
-    per rank per round.
+    scatter); the scalar reference runs the per-rank
+    ``write_checkpoint`` + helper-thread pipeline of
+    :class:`~repro.perf.helper_mirror.HelperMirrorLib`, one mirror
+    transfer per rank per round.
 
     ``rounds`` counts *timed* rounds (at least 2); one extra untimed
     round runs first so that one-time costs (neighbor-map build, arena
@@ -181,7 +182,8 @@ def bench_ckpt_mirror_us_per_rank(n_ranks: int = REFERENCE_RANKS,
     from repro.checkpoint import CheckpointLib, CheckpointManager
     from repro.ft import rankstate
     from repro.gaspi import run_gaspi
-    from repro.sim import Event, Sleep, WaitEvent
+    from repro.perf.helper_mirror import HelperMirrorLib
+    from repro.sim import Sleep, WaitEvent
 
     if rounds is None:
         rounds = max(4, 16384 // n_ranks)
@@ -193,9 +195,7 @@ def bench_ckpt_mirror_us_per_rank(n_ranks: int = REFERENCE_RANKS,
     wall = [0.0]
 
     with rankstate.use(mode):
-        round_plane = rankstate.kernels().round_checkpoint
-
-        if round_plane:
+        if mode != "scalar":
             def main(ctx):
                 if ctx.rank != 0:
                     return
@@ -231,7 +231,7 @@ def bench_ckpt_mirror_us_per_rank(n_ranks: int = REFERENCE_RANKS,
                     lib.shutdown()
         else:
             def main(ctx):
-                lib = CheckpointLib(ctx, ctx.rank, range(n_ranks))
+                lib = HelperMirrorLib(ctx, ctx.rank, range(n_ranks))
                 marks = []
                 for k in range(n_rounds):
                     yield Sleep((k + 1) * period - ctx.now)

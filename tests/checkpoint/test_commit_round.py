@@ -1,14 +1,15 @@
-"""Property test: ``CheckpointManager.commit_round`` is observably
-identical to every rank committing sequentially through the scalar
-per-neighbor helper pipeline.
+"""Property test: ``CheckpointManager.commit_round`` on the round copy
+plane is observably identical to every rank committing sequentially
+through the per-library helper-thread pipeline (the
+:class:`~tests.oracles.helper_mirror.HelperMirrorLib` oracle).
 
 For a random scenario — rank count, payload shapes, nominal sizes,
 mid-round process/node kills, pre-filled (QUEUE_FULL) mirror queues and a
-partitioned neighbor link — the round-batched plane must reproduce the
-scalar reference bit-for-bit in every observable: per-rank stats, node
-store contents (keys, blob bytes, nominal sizes), and the virtual fire
-time and value of every mirrored event.  Event *names* and the writer's
-own staging-window copy are the only documented non-observables.
+partitioned neighbor link — the copy plane must reproduce the oracle
+bit-for-bit in every observable: per-rank stats, node store contents
+(keys, blob bytes, nominal sizes), and the virtual fire time and value of
+every mirrored event.  Event *names* and the writer's own staging-window
+copy are the only documented non-observables.
 """
 
 import numpy as np
@@ -16,10 +17,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import CheckpointLib, CheckpointManager
-from repro.cluster import FaultPlan
+from repro.cluster import FaultPlan, MachineSpec, NetworkParams
 from repro.ft import rankstate
 from repro.gaspi import run_gaspi
 from repro.sim import Event, Sleep
+from tests.oracles.helper_mirror import HelperMirrorLib
 
 NOMINALS = [None, 1 << 18, 1 << 20]
 DRAIN_S = 60.0  # past every mirror timeout horizon
@@ -34,7 +36,7 @@ def _payload(rank, rnd, sizes):
 
 
 def _prefill(lib):
-    queue = lib._mirror_queue_obj
+    queue = lib.lane.queue_obj
     for _ in range(queue.depth):
         queue.post(Event(name="prefill"))
 
@@ -70,15 +72,15 @@ def _apply_faults(ctx, n_ranks, partitions, qfull_ranks, libs):
             _prefill(libs[r])
 
 
-def run_sequential_scalar(n_ranks, sizes, n_rounds, nominal, kills,
+def run_sequential_helper(n_ranks, sizes, n_rounds, nominal, kills,
                           partitions, qfull_ranks):
-    """Every rank drives its own ``write_checkpoint`` (scalar helper)."""
+    """Every rank drives its own ``write_checkpoint`` (helper oracle)."""
     stats, fires = {}, {}
 
     def main(ctx):
         r = ctx.rank
-        lib = CheckpointLib(ctx, logical_rank=r,
-                            participants=range(n_ranks))
+        lib = HelperMirrorLib(ctx, logical_rank=r,
+                              participants=range(n_ranks))
         stats[r] = lib.stats
         _apply_faults(ctx, n_ranks, partitions, qfull_ranks, {r: lib})
         sim = ctx.world.sim
@@ -92,6 +94,7 @@ def run_sequential_scalar(n_ranks, sizes, n_rounds, nominal, kills,
         yield Sleep(DRAIN_S)
         lib.shutdown()
 
+    # the scalar kernels derive the oracle's neighbor map independently
     with rankstate.use("scalar"):
         run = run_gaspi(main, n_ranks=n_ranks,
                         fault_plan=_build_plan(kills))
@@ -100,7 +103,7 @@ def run_sequential_scalar(n_ranks, sizes, n_rounds, nominal, kills,
 
 
 def run_commit_round(n_ranks, sizes, n_rounds, nominal, kills,
-                     partitions, qfull_ranks):
+                     partitions, qfull_ranks, machine_spec=None):
     """One coordinator drives whole rounds through ``commit_round``."""
     stats, fires = {}, {}
 
@@ -130,7 +133,7 @@ def run_commit_round(n_ranks, sizes, n_rounds, nominal, kills,
             lib.shutdown()
 
     with rankstate.use("vectorized"):
-        run = run_gaspi(main, n_ranks=n_ranks,
+        run = run_gaspi(main, n_ranks=n_ranks, machine_spec=machine_spec,
                         fault_plan=_build_plan(kills))
     return ({r: dict(s) for r, s in stats.items()}, fires,
             _snapshot_stores(run.machine, n_ranks))
@@ -138,13 +141,13 @@ def run_commit_round(n_ranks, sizes, n_rounds, nominal, kills,
 
 def assert_equivalent(n_ranks, sizes, n_rounds, nominal, kills,
                       partitions, qfull_ranks):
-    scalar = run_sequential_scalar(n_ranks, sizes, n_rounds, nominal,
+    oracle = run_sequential_helper(n_ranks, sizes, n_rounds, nominal,
                                    kills, partitions, qfull_ranks)
     batched = run_commit_round(n_ranks, sizes, n_rounds, nominal,
                                kills, partitions, qfull_ranks)
-    assert batched[0] == scalar[0], "per-rank stats diverged"
-    assert batched[1] == scalar[1], "mirror fire times/values diverged"
-    assert batched[2] == scalar[2], "node store contents diverged"
+    assert batched[0] == oracle[0], "per-rank stats diverged"
+    assert batched[1] == oracle[1], "mirror fire times/values diverged"
+    assert batched[2] == oracle[2], "node store contents diverged"
 
 
 @st.composite
@@ -186,3 +189,39 @@ def test_commit_round_equals_sequential_commit_at_512_ranks():
         partitions=(100,),
         qfull_ranks=(7,),
     )
+
+
+def test_writers_killed_while_their_mirrors_are_in_flight():
+    """Dead writers complete nothing, like a helper thread dying with its
+    rank: one killed mid-wire, one mid-modeled copy (QUEUE_FULL), and one
+    whose copy hangs on a cut link and dies before the flush timeout."""
+    # round 0's local writes end at 1.00021 s, its mirrors land ~0.3 ms
+    # later; the cut link's flush timeout fires after 2 s
+    assert_equivalent(
+        32, [8], 2, 1 << 20,
+        kills=[(1.0003, 5, False), (1.0003, 12, False), (1.5, 20, False)],
+        partitions=(20,),
+        qfull_ranks=(12,),
+    )
+
+
+def test_commit_rounds_on_a_jittered_network():
+    """Per-copy jitter draws inside the round: same-seed runs agree in
+    every observable, every mirror still lands, and the jitter really
+    moves the fire times."""
+
+    def run(jitter):
+        spec = MachineSpec(n_nodes=16,
+                           network_params=NetworkParams(jitter=jitter))
+        return run_commit_round(16, [4, 9], 3, 1 << 20, kills=[],
+                                partitions=(), qfull_ranks=(),
+                                machine_spec=spec)
+
+    first, second, flat = run(0.1), run(0.1), run(0.0)
+    assert first == second
+    stats, fires, _ = first
+    assert len(fires) == 16 * 3
+    assert all(value is True for _, value in fires.values())
+    assert all(s["neighbor_copies"] == 3 for s in stats.values())
+    assert ({k: t for k, (t, _) in fires.items()}
+            != {k: t for k, (t, _) in flat[1].items()})

@@ -9,9 +9,10 @@ from repro.checkpoint import (
     CheckpointLib,
     CheckpointManager,
     CheckpointNotFound,
+    NodeLocalStore,
     ParallelFileSystem,
+    make_checkpoint_lib,
 )
-from repro.ft import rankstate
 from repro.gaspi import run_gaspi
 from repro.sim import Sleep, WaitEvent
 
@@ -203,14 +204,10 @@ def test_checkpoint_write_cost_scales_with_nominal_bytes():
 
 
 def test_staging_buffer_reused_and_old_versions_stay_intact():
-    """The pack staging arena is reused across writes, and stored blobs
-    must be immutable snapshots — overwriting the staging arena with a
-    later checkpoint must not corrupt earlier stored versions.
-
-    On the (default) round-checkpoint path the arena is the world
-    manager's shared one; the scalar per-library buffer is covered by
-    ``test_staging_buffer_reused_scalar_path``.
-    """
+    """The pack staging arena (the world manager's shared one) is reused
+    across writes, and stored blobs must be immutable snapshots —
+    overwriting the arena with a later checkpoint must not corrupt
+    earlier stored versions."""
 
     def main(ctx):
         manager = CheckpointManager.of(ctx.world)
@@ -231,38 +228,130 @@ def test_staging_buffer_reused_and_old_versions_stay_intact():
     assert run.result(0) == (True, True, 1.0, 3.0)
 
 
-def test_staging_buffer_reused_scalar_path():
-    """The per-library staging buffer behaves the same on the scalar
-    (helper-thread) path."""
+@pytest.mark.parametrize("backend", ["neighbor", "replicated"])
+def test_no_library_launches_a_helper_process(backend):
+    """Every asynchronous copy rides the world's copy plane: a rank runs
+    its main program and nothing else."""
 
     def main(ctx):
-        cfg = CheckpointConfig(keep_versions=4)
-        lib = CheckpointLib(ctx, logical_rank=0, participants=[0], config=cfg)
-        yield from lib.write_checkpoint(0, {"x": np.full(64, 1.0)})
-        staging = lib._staging
-        yield from lib.write_checkpoint(1, {"x": np.full(64, 2.0)})
-        same_buffer = lib._staging is staging  # equal size -> reused
-        yield from lib.write_checkpoint(2, {"x": np.full(128, 3.0)})
-        grew = len(lib._staging) >= 128 * 8
-        _, v0 = yield from lib.read_checkpoint(version=0)
-        _, v2 = yield from lib.read_checkpoint(version=2)
-        lib.shutdown()
-        return (same_buffer, grew, float(v0["x"][0]), float(v2["x"][0]))
+        lib = make_checkpoint_lib(ctx, ctx.rank, range(4),
+                                  config=CheckpointConfig(backend=backend))
+        done = yield from lib.write_checkpoint(0, {"x": np.ones(4)})
+        ok, landed = yield WaitEvent(done, 10.0)
+        return ok and bool(landed)
 
-    with rankstate.use("scalar"):
-        run = run_gaspi(main, n_ranks=1)
-    assert run.result(0) == (True, True, 1.0, 3.0)
+    run = run_gaspi(main, n_ranks=4)
+    assert all(run.result(r) for r in range(4))
+    assert sorted(p.name for p in run.sim.processes) == [
+        f"rank{r}" for r in range(4)]
 
 
-def test_helper_dies_with_rank():
-    """The helper thread is bound to the rank and must not outlive it."""
+def _holder(ctx):
+    """An idle rank whose library opens its mirror window."""
+    CheckpointLib(ctx, logical_rank=ctx.rank, participants=[ctx.rank])
+    yield Sleep(100.0)
+
+
+def test_reprotect_queues_behind_the_inflight_commit_mirror():
+    """A remote-restore reprotect issued while the same library's commit
+    mirror is in flight waits behind it: one copy in flight per library,
+    and the reprotect stays out of the mirror phase totals."""
+    seen = {}
 
     def main(ctx):
-        lib = CheckpointLib(ctx, logical_rank=0, participants=[0, 1])
+        if ctx.rank != 0:
+            yield from _holder(ctx)
+            return
+        lib = CheckpointLib(ctx, logical_rank=0, participants=[0, 1, 2])
+        manager = CheckpointManager.of(ctx.world)
+        first = yield from lib.write_checkpoint(0, {"x": np.arange(4.0)})
+        yield WaitEvent(first, 10.0)
+        # lose the local copy: only the neighbor's mirror of v0 is left
+        NodeLocalStore(ctx.world.machine.node(0)).delete(("ckpt", 0, 0))
+        # a ~1 s neighbor mirror keeps the library's lane busy
+        commit = yield from lib.write_checkpoint(
+            1, {"x": np.ones(4)}, nominal_bytes=3_200_000_000)
+        commit_request = lib.lane.inflight
+        version, out = yield from lib.read_checkpoint(version=0)
+        seen["restored"] = (version, list(out["x"]), lib.stats["remote_reads"])
+        seen["queued"] = (lib.lane.inflight is commit_request,
+                          len(lib.lane.deferred), lib.lane.queue_obj.size)
+        commit.add_callback(lambda ev: seen.setdefault(
+            "at_commit", (ev.value, lib.stats["neighbor_copies"],
+                          len(lib.lane.deferred))))
+        yield Sleep(10.0)
+        seen["end"] = (lib.stats["neighbor_copies"], lib.lane.inflight,
+                       manager.phase_totals["mirror_ops"],
+                       lib.has_local(0))
+
+    run_gaspi(main, n_ranks=3)
+    assert seen["restored"] == (0, [0.0, 1.0, 2.0, 3.0], 1)
+    # the commit is still the lane's only op; the reprotect waits
+    assert seen["queued"] == (True, 1, 1)
+    # the commit mirror landed alone; the reprotect only lands after it
+    assert seen["at_commit"] == (True, 2, 1)
+    assert seen["end"] == (3, None, 2, True)
+
+
+def test_severed_path_timeout_purges_only_its_own_library():
+    """Two libraries of one rank: the one whose neighbor link is cut
+    times out and purges its own queue; the other's copy, still in
+    flight at that moment, lands untouched."""
+    seen = {}
+
+    def main(ctx):
+        if ctx.rank != 0:
+            yield from _holder(ctx)
+            return
+        ctx.world.machine.network.break_link(0, 1)
+        cut = CheckpointLib(ctx, logical_rank=0, participants=[0, 1])
+        far = CheckpointLib(ctx, logical_rank=0, participants=[0, 2],
+                            config=CheckpointConfig(tag="far"))
+        sim = ctx.world.sim
+        # a ~2 s mirror on the healthy path outlives the cut one's timeout
+        far_done = yield from far.write_checkpoint(
+            0, {"x": np.ones(4)}, nominal_bytes=6_400_000_000)
+        cut_done = yield from cut.write_checkpoint(0, {"x": np.ones(4)})
+        cut_done.add_callback(lambda ev: seen.setdefault(
+            "cut", (sim.now, ev.value, cut.lane.queue_obj.size,
+                    far.lane.queue_obj.size, far_done.fired)))
+        far_done.add_callback(lambda ev: seen.setdefault(
+            "far", (sim.now, ev.value)))
+        yield Sleep(10.0)
+        seen["stats"] = (cut.stats["neighbor_copies"],
+                         far.stats["neighbor_copies"])
+
+    run_gaspi(main, n_ranks=3)
+    t_cut, cut_value, cut_ops, far_ops, far_fired = seen["cut"]
+    assert (cut_value, cut_ops, far_ops, far_fired) == (False, 0, 1, False)
+    t_far, far_value = seen["far"]
+    assert far_value is True and t_far > t_cut
+    assert seen["stats"] == (0, 1)
+
+
+def test_writer_killed_mid_pfs_copy_completes_nothing():
+    """The PFS copy runs after the mirror resolved; a writer killed
+    during it leaves the PFS without the blob and the event unfired."""
+    seen = {}
+    key = ("ckpt", 0, 0)
+
+    def main(ctx):
+        if ctx.rank != 0:
+            yield from _holder(ctx)
+            return
+        pfs = ParallelFileSystem(ctx.world.sim)
+        lib = CheckpointLib(ctx, logical_rank=0, participants=[0, 1],
+                            config=CheckpointConfig(pfs_every=1), pfs=pfs)
+        seen["lib"], seen["pfs"] = lib, pfs
+        # local write 2 s, mirror lands at ~5.1 s, PFS copy ends at ~6.1 s
+        seen["done"] = yield from lib.write_checkpoint(
+            0, {"x": np.ones(4)}, nominal_bytes=10_000_000_000)
         yield Sleep(100.0)
 
-    plan = FaultPlan().kill_process(1.0, 0)
+    plan = FaultPlan().kill_process(5.6, 0)
     run = run_gaspi(main, n_ranks=2, fault_plan=plan, until=50.0)
-    helpers = [p for p in run.sim.processes if p.name.startswith("ckpt-helper-0")]
-    assert len(helpers) == 1
-    assert not helpers[0].alive
+    lib, pfs = seen["lib"], seen["pfs"]
+    assert NodeLocalStore(run.machine.node(1)).has(key)
+    assert lib.stats["neighbor_copies"] == 1
+    assert not pfs.has(key) and lib.stats["pfs_copies"] == 0
+    assert not seen["done"].fired
