@@ -510,9 +510,9 @@ class CheckpointManager:
       bytes/latency for ``recovery_compare``'s per-phase reporting).
 
     The plane reproduces the per-library helper-thread pipeline of the
-    paper's Fig. 2 (``repro.perf.helper_mirror.HelperMirrorLib``, the
-    test oracle) bit-for-bit, except for the helper's scratch copy into
-    the writer's *own* staging window.
+    paper's Fig. 2 (the test oracle ``tests/oracles/helper_mirror.py``)
+    bit-for-bit, except for the helper's scratch copy into the writer's
+    *own* staging window.
     """
 
     _ATTR = "_checkpoint_manager"
@@ -650,9 +650,8 @@ class CheckpointManager:
         """The full replica-holder map of a (sorted) participant set.
 
         Built once per distinct ``(set, r)`` with the vectorized placement
-        kernel; each entry equals ``replica_holders(rank, participants,
-        node_of, r)`` (no holder on the owner's node or its mirror
-        neighbor's node — see ``CHECKPOINTS.md``).
+        kernel (no holder on the owner's node or its mirror neighbor's
+        node — see ``CHECKPOINTS.md``).
         """
         # local import: replicated.py imports this module at its top level
         from repro.checkpoint.replicated import replica_holder_map

@@ -56,5 +56,5 @@ def neighbor_map(
         return {}
     nodes = np.fromiter((node_of(r) for r in ring), dtype=np.int64,
                         count=len(ring))
-    nbr = rankstate.kernels().ring_neighbors(nodes)
+    nbr = rankstate.ring_neighbors(nodes)
     return {r: (None if j < 0 else ring[int(j)]) for r, j in zip(ring, nbr)}

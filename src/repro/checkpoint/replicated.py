@@ -18,7 +18,7 @@ take down, and ``r`` copies on ``r`` distinct nodes tolerate any
 ``r - 1`` concurrent rank losses.
 
 Three classes live here rather than in :mod:`repro.checkpoint.manager`:
-the placement reference/kernel wrappers, :class:`ReplicatedCheckpointLib`
+the placement kernel wrapper, :class:`ReplicatedCheckpointLib`
 (the ReStore backend), and :class:`PfsCheckpointLib` (the classical
 PFS-only baseline the paper argues against) — plus the
 :func:`make_checkpoint_lib` factory the FT driver dispatches through.
@@ -65,59 +65,19 @@ from repro.checkpoint.store import (
 # ----------------------------------------------------------------------
 # placement
 # ----------------------------------------------------------------------
-def replica_holders(
-    rank: int,
-    participants: Sequence[int],
-    node_of: Callable[[int], int],
-    r: int,
-) -> List[int]:
-    """The ``r`` replica holders of ``rank`` (scalar reference).
-
-    Walks the sorted participant ring forward from ``rank``, excluding
-    the rank's own node and its mirror neighbor's node, and collects the
-    first ``r`` ranks on pairwise-distinct nodes.  Returns fewer than
-    ``r`` holders (possibly none) when the cluster layout cannot supply
-    them — e.g. every participant shares two nodes.  Each entry equals
-    the corresponding row of the vectorized ``replica_ring_holders``
-    rankstate kernel; this function stays as the property-test oracle.
-    """
-    ring = sorted(participants)
-    if rank not in ring:
-        raise ValueError(f"rank {rank} not among participants {ring}")
-    n = len(ring)
-    my_node = node_of(rank)
-    idx = ring.index(rank)
-    mirror_node = -1
-    for step in range(1, n):
-        candidate_node = node_of(ring[(idx + step) % n])
-        if candidate_node != my_node:
-            mirror_node = candidate_node
-            break
-    excluded = {my_node, mirror_node}
-    holders: List[int] = []
-    for step in range(1, n):
-        if len(holders) == r:
-            break
-        candidate = ring[(idx + step) % n]
-        candidate_node = node_of(candidate)
-        if candidate_node in excluded:
-            continue
-        holders.append(candidate)
-        excluded.add(candidate_node)
-    return holders
-
-
 def replica_holder_map(
     participants: Sequence[int],
     node_of: Callable[[int], int],
     r: int,
 ) -> Dict[int, List[int]]:
-    """Replica holders of every participant, via the active kernel set.
+    """Replica holders of every participant.
 
     Builds the sorted ring and its node lookup once and derives every
     position's holder rows with the :mod:`repro.ft.rankstate`
-    ``replica_ring_holders`` kernel — O(n·r) for the whole map.  Each
-    entry equals ``replica_holders(rank, participants, node_of, r)``.
+    ``replica_ring_holders`` kernel — O(n·r) for the whole map.  An
+    entry lists fewer than ``r`` holders (possibly none) when the
+    cluster layout cannot supply them — e.g. every participant shares
+    two nodes.
     """
     from repro.ft import rankstate
 
@@ -126,7 +86,7 @@ def replica_holder_map(
         return {}
     nodes = np.fromiter((node_of(x) for x in ring), dtype=np.int64,
                         count=len(ring))
-    rows = rankstate.kernels().replica_ring_holders(nodes, r)
+    rows = rankstate.replica_ring_holders(nodes, r)
     return {
         rank: [ring[int(j)] for j in row if j >= 0]
         for rank, row in zip(ring, rows)

@@ -82,7 +82,7 @@ class SweepResults:
     the batched path already computed: consumers that only need the
     (usually empty) failure list — the FD's hot loop — never touch a
     per-target Python object, while iteration and indexing still yield
-    the exact tuples the scalar reference produces.
+    the exact tuples the sequential sweep produces.
     """
 
     __slots__ = ("_targets", "_alive", "_starts", "_ends")
@@ -576,7 +576,6 @@ class Transport:
         src: int,
         targets: Sequence[int],
         width: int = 1,
-        batched: bool = True,
     ) -> Event:
         """Probe a whole round of targets as one batched sweep.
 
@@ -585,13 +584,13 @@ class Transport:
         but the entire sweep is driven by transport-internal callbacks: the
         caller blocks once on the returned event instead of once per probe.
 
-        With ``batched=True`` (default) the whole round is priced in one
-        vectorized alpha-beta call (:meth:`Network.transfer_time_round`)
-        and driven by a *single* finalize callback — O(1) simulator events
-        per sweep instead of O(n) — reconstructing the exact per-probe
-        virtual times of the callback-chained path.  Jittered networks fall
-        back to the sequential path automatically (per-probe RNG draw order
-        cannot be reproduced from one post-time pricing call).
+        The whole round is priced in one vectorized alpha-beta call
+        (:meth:`Network.transfer_time_round`) and driven by a *single*
+        finalize callback — O(1) simulator events per sweep instead of
+        O(n) — reconstructing the exact per-probe virtual times of the
+        callback-chained sequential sweep.  Jittered networks take that
+        sequential sweep instead (per-probe RNG draw order cannot be
+        reproduced from one post-time pricing call).
 
         Completes ``(True, results)`` where ``results`` is a list, in
         ``targets`` order, of ``(target, alive, t_start, t_end)`` tuples —
@@ -600,7 +599,7 @@ class Transport:
         ``error_timeout`` wait for newly dead targets all preserved).
         """
         self.stats["ping"] += len(targets)
-        if batched and not self.network.jittered:
+        if not self.network.jittered:
             return self._post_ping_sweep_batched(
                 src, list(targets), max(1, int(width))
             )
@@ -738,8 +737,8 @@ class Transport:
     def _post_ping_sweep_seq(
         self, src: int, targets: List[int], width: int
     ) -> Event:
-        """Callback-chained sweep (scalar reference; exercised for jittered
-        networks and by the vectorized-vs-scalar identity tests)."""
+        """Callback-chained sweep: the jittered-network path, and the
+        reference the batched sweep is tested against."""
         done = Event(name=f"pingsweep:{src}")
         n = len(targets)
         out: List[Optional[Tuple[int, bool, float, float]]] = [None] * n

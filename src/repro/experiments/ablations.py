@@ -286,7 +286,8 @@ def run_group_commit_scaling(sizes: Sequence[int] = (8, 16, 32, 64, 128, 256),
 
 # ----------------------------------------------------------------------
 def main(argv: Optional[Sequence[str]] = None) -> str:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="python -m repro ablations",
+                                     description=__doc__)
     parser.add_argument("--which",
                         choices=["all", "fd", "interval", "destination",
                                  "commit"],

@@ -293,7 +293,8 @@ HEADERS = ["scenario", "runtime[s]", "computation[s]", "redo-work[s]",
 
 
 def main(argv: Optional[Sequence[str]] = None) -> str:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="python -m repro figure4",
+                                     description=__doc__)
     parser.add_argument("--scale", choices=["paper", "small", "tiny"],
                         default="small")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",

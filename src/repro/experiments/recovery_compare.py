@@ -272,7 +272,8 @@ def backend_as_rows(rows: List[BackendRow]) -> List[List]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> str:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="python -m repro compare",
+                                     description=__doc__)
     parser.add_argument("--sizes", type=int, nargs="+",
                         default=[8, 16, 32, 64, 128, 256])
     parser.add_argument("--jobs", type=int, default=1, metavar="N",

@@ -140,7 +140,8 @@ def as_rows(rows: List[Table1Row]) -> List[List]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> str:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="python -m repro table1",
+                                     description=__doc__)
     parser.add_argument("--nodes", type=int, nargs="+",
                         default=list(PAPER_NODES))
     parser.add_argument("--runs", type=int, default=10)

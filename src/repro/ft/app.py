@@ -233,10 +233,9 @@ def _announce_done(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock):
     """
     block.mark_done_local()
     statuses = block.statuses()
-    ks = rankstate.kernels()
-    targets = ks.ranks_with_roles(statuses, (Role.IDLE, Role.FD))
+    targets = rankstate.ranks_with_roles(statuses, (Role.IDLE, Role.FD))
     yield from block.broadcast(targets, timeout=cfg.comm_timeout)
-    for rank in ks.ranks_with_roles(statuses, (Role.FD,)):
+    for rank in rankstate.ranks_with_roles(statuses, (Role.FD,)):
         yield from ctx.passive_send(rank, FD_STOP, timeout=cfg.comm_timeout)
 
 
@@ -403,7 +402,7 @@ def ft_main(cfg: FTConfig, program: FTProgram,
 
 def _initial_group(ctx: GaspiContext, cfg: FTConfig):
     group = ctx.group_create(tag=0)
-    rankstate.kernels().group_fill(group, range(cfg.n_workers))
+    rankstate.group_fill(group, range(cfg.n_workers))
     return group
 
 

@@ -32,7 +32,6 @@ from typing import Any, Dict, Generator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.gaspi.context import GaspiContext
-from repro.ft import rankstate
 from repro.ft.config import FTConfig
 from repro.ft.roles import Role
 
@@ -273,20 +272,18 @@ class ControlBlock:
                   timeout: float = 1.0) -> Generator[Any, Any, None]:
         """Generator: one-sided-write this block into every target rank.
 
-        In the vectorized rank-state mode the whole fan-out is one
-        round-priced ``write_round`` — a single queue slot and O(1)
-        simulator events on a uniform fabric, with identical virtual
-        timing (data lands per target at its own latency; a dead target
-        hangs the round's completion so the final wait still times out
-        and purges).  The scalar reference mode posts one write per
-        target; writes to dead targets simply never complete and the
-        queue is purged afterwards so they cannot wedge later broadcasts.
+        The whole fan-out is one round-priced ``write_round`` — a single
+        queue slot and O(1) simulator events on a uniform fabric, with
+        the virtual timing of one ``write`` per target (data lands per
+        target at its own latency; a dead target hangs the round's
+        completion, so the final wait times out and purges the queue and
+        the stuck write cannot wedge later broadcasts).
         """
         from repro.gaspi.constants import ReturnCode
 
         nbytes = self.n_cells * _I8
         dsts = [t for t in targets if t != self.ctx.rank]
-        if dsts and rankstate.kernels().round_broadcast:
+        if dsts:
             ret = self.ctx.write_round(FT_SEGMENT, 0, nbytes, dsts,
                                        FT_SEGMENT, 0, queue_id)
             if ret is not ReturnCode.SUCCESS:
@@ -297,21 +294,6 @@ class ControlBlock:
                     self.ctx.queue_purge(queue_id)
                 self.ctx.write_round(FT_SEGMENT, 0, nbytes, dsts,
                                      FT_SEGMENT, 0, queue_id)
-        else:
-            for target in dsts:
-                ret = self.ctx.write(FT_SEGMENT, 0, nbytes, target,
-                                     FT_SEGMENT, 0, queue_id)
-                if ret is not ReturnCode.SUCCESS:
-                    # queue full (e.g. many targets, or wedged by writes to
-                    # dead ranks): drain — purge on timeout — and repost, so
-                    # no healthy rank silently misses the notice
-                    drained = yield from self.ctx.wait(queue_id, timeout)
-                    if drained is not ReturnCode.SUCCESS:
-                        self.ctx.queue_purge(queue_id)
-                    retry = self.ctx.write(FT_SEGMENT, 0, nbytes, target,
-                                           FT_SEGMENT, 0, queue_id)
-                    if retry is not ReturnCode.SUCCESS:  # pragma: no cover
-                        continue  # freshly purged queue still full: give up
         ret = yield from self.ctx.wait(queue_id, timeout)
         if ret is not ReturnCode.SUCCESS:
             self.ctx.queue_purge(queue_id)

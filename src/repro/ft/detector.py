@@ -82,8 +82,8 @@ class FDStats:
         return sum(self.scan_times) / len(self.scan_times) if self.scan_times else 0.0
 
 
-def scan_once(ctx: GaspiContext, targets: List[int], fd_threads: int = 1,
-              batched: bool = True) -> Generator[Any, Any, List[int]]:
+def scan_once(ctx: GaspiContext, targets: List[int],
+              fd_threads: int = 1) -> Generator[Any, Any, List[int]]:
     """Generator: ping every target; returns the list that failed.
 
     The whole round runs as **one** batched probe sweep
@@ -92,16 +92,12 @@ def scan_once(ctx: GaspiContext, targets: List[int], fd_threads: int = 1,
     behaviour), sequentially between groups — but the FD process blocks a
     single time for the round instead of once per target.  Per-ping
     ``ping`` tracer events are emitted from the sweep's recorded per-probe
-    timings, so observability output is unchanged.  ``batched=False``
-    drives the round through the scalar callback-chained sweep (the
-    rank-state reference mode).
+    timings, so observability output is unchanged.
     """
     failed: List[int] = []
     if not targets:
         return failed
-    ret, results = yield from ctx.proc_ping_sweep(
-        targets, fd_threads, batched=batched
-    )
+    ret, results = yield from ctx.proc_ping_sweep(targets, fd_threads)
     if ret is not ReturnCode.SUCCESS:
         return failed
     tracer = ctx.tracer
@@ -146,12 +142,10 @@ def fd_process(ctx: GaspiContext, cfg: FTConfig,
     if takeover:
         statuses[ctx.rank] = Role.FD
     pool = SparePool(statuses, ctx.rank)
-    ks = rankstate.kernels()
     rank_map_arr = block.rank_map_array()
-    avoid = ks.avoid_mask(statuses)
+    avoid = rankstate.avoid_mask(statuses)
     # S1: the target list is derived once from the avoid mask and reused
-    # across scans; it is invalidated only when the mask changes (the
-    # scalar reference rebuilds it every round, as the pre-SoA code did)
+    # across scans; it is invalidated only when the mask changes
     targets: Optional[List[int]] = None
     epoch = block.epoch
     stats = FDStats()
@@ -165,20 +159,20 @@ def fd_process(ctx: GaspiContext, cfg: FTConfig,
 
         yield Sleep(cfg.fd_scan_period)
 
-        if targets is None or ks.derive_targets_each_scan:
-            targets = ks.scan_targets(avoid, ctx.rank)
+        if targets is None:
+            targets = rankstate.scan_targets(avoid, ctx.rank)
         t0 = ctx.now
         yield Sleep(cfg.scan_setup_overhead)
-        failed_now = yield from scan_once(ctx, targets, cfg.fd_threads,
-                                          batched=ks.batched_sweep)
+        failed_now = yield from scan_once(ctx, targets, cfg.fd_threads)
         stats.scan_times.append(ctx.now - t0)
         if not failed_now:
             continue
 
         t_detected = ctx.now
-        ks.mark_avoided(avoid, failed_now)
+        rankstate.mark_avoided(avoid, failed_now)
         targets = None  # avoid mask changed: re-derive before the next scan
-        failed_workers, failed_others = ks.split_failed(failed_now, rank_map_arr)
+        failed_workers, failed_others = rankstate.split_failed(
+            failed_now, rank_map_arr)
         for rank in failed_others:
             statuses[rank] = Role.FAILED  # dead idles just shrink the pool
 
@@ -187,11 +181,11 @@ def fd_process(ctx: GaspiContext, cfg: FTConfig,
 
         assignment = pool.assign(failed_workers)
         epoch += 1
-        rank_map_arr = ks.apply_rescues(rank_map_arr, assignment.failed,
-                                        assignment.rescues)
+        rank_map_arr = rankstate.apply_rescues(
+            rank_map_arr, assignment.failed, assignment.rescues)
         block.compose_notice(epoch, assignment.failed, assignment.rescues,
                              statuses, rank_map_arr)
-        healthy = ks.healthy_targets(avoid, statuses)
+        healthy = rankstate.healthy_targets(avoid, statuses)
         tracer = ctx.tracer
         if tracer.enabled:
             tracer.emit(t_detected, ctx.rank, "detection", epoch=epoch,

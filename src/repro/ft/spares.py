@@ -48,7 +48,7 @@ class SparePool:
         self.fd_rank = fd_rank
 
     def idle_ranks(self) -> List[int]:
-        return rankstate.kernels().idle_ranks(self.statuses)
+        return rankstate.idle_ranks(self.statuses)
 
     def assign(self, failed: Sequence[int]) -> RescueAssignment:
         """Pick rescues for ``failed`` (lowest idle ranks first).

@@ -103,8 +103,7 @@ class Segment:
 
     def __init__(self, segment_id: int, size: int,
                  n_notifications: int = 1024,
-                 backing: Optional[Backing] = None,
-                 eager: bool = False) -> None:
+                 backing: Optional[Backing] = None) -> None:
         if size <= 0:
             raise GaspiUsageError(f"segment size must be positive, got {size}")
         self.segment_id = segment_id
@@ -115,9 +114,6 @@ class Segment:
         self._n_notifications = n_notifications
         self._notifications: Optional[NotificationBoard] = None
         self._cells64: Optional[np.ndarray] = None
-        if eager:
-            self._materialize()
-            _ = self.notifications
 
     # ------------------------------------------------------------------
     # lazy backing stores
@@ -282,12 +278,10 @@ class SegmentTable:
         self._segments: Dict[int, Segment] = {}
 
     def create(self, segment_id: int, size: int, n_notifications: int = 1024,
-               backing: Optional[Backing] = None,
-               eager: bool = False) -> Segment:
+               backing: Optional[Backing] = None) -> Segment:
         if segment_id in self._segments:
             raise GaspiUsageError(f"segment {segment_id} already exists")
-        seg = Segment(segment_id, size, n_notifications,
-                      backing=backing, eager=eager)
+        seg = Segment(segment_id, size, n_notifications, backing=backing)
         self._segments[segment_id] = seg
         return seg
 

@@ -539,10 +539,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "never rewrites the --out file")
     parser.add_argument("--scaling", action="store_true",
                         help="run the weak-scaling suite instead of the "
-                             "micro suite: the rank ladder in both rankstate "
-                             "modes, recording the vectorized path as "
-                             "'current' and the scalar reference as the "
-                             "measured 'seed' equivalent")
+                             "micro suite: the rank ladder, recorded as "
+                             "'current' and 'scaling.current' (with "
+                             "--record-seed: 'seed' and 'scaling.seed'); "
+                             "the committed seed tables are the frozen "
+                             "pre-vectorization baseline the speedups "
+                             "are read against")
     parser.add_argument("--ranks", type=int, nargs="+", default=None,
                         metavar="N",
                         help="override the weak-scaling rank ladder "
@@ -609,33 +611,22 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"{baseline:.4f}s")
         return 0
 
+    section = "seed" if args.record_seed else "current"
     if args.scaling:
         from repro.perf.scaling import RANKS_LADDER, run_scaling, \
             summary_metrics
 
         ladder = args.ranks or RANKS_LADDER
-        print(f"# weak scaling, ranks {list(ladder)} (vectorized ...)")
-        current_scaling = run_scaling("vectorized", ladder)
-        print("# ... and the scalar seed-equivalent")
-        seed_scaling = run_scaling("scalar", ladder)
-        metrics = summary_metrics(current_scaling)
-        seed_metrics = summary_metrics(seed_scaling)
-        report["scaling"] = {"current": current_scaling,
-                             "seed": seed_scaling}
-        report["seed"] = {**_strip_env(report.get("seed")), **seed_metrics,
-                          "environment": _environment()}
-        report["current"] = {**committed, **metrics,
-                             "environment": _environment()}
+        print(f"# weak scaling, ranks {list(ladder)}")
+        table = run_scaling(ladder)
+        metrics = summary_metrics(table)
+        report.setdefault("scaling", {})[section] = table
     else:
         metrics = run_benches(quick=args.quick)
-        if args.record_seed:
-            report["seed"] = {**_strip_env(report.get("seed")), **metrics,
-                              "environment": _environment()}
-        else:
-            # merge, don't replace: the scaling metrics live in the same
-            # section and must survive a micro-suite refresh
-            report["current"] = {**committed, **metrics,
-                                 "environment": _environment()}
+    # merge, don't replace: the micro-suite and scaling metrics share
+    # each section and must survive each other's refresh
+    report[section] = {**_strip_env(report.get(section)), **metrics,
+                       "environment": _environment()}
 
     seed = _strip_env(report.get("seed"))
     current = _strip_env(report.get("current"))
@@ -649,7 +640,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             fh.write("\n")
 
     width = max(len(k) for k in metrics)
-    section = "seed" if args.record_seed else "current"
     print(f"# {section} {'vs' if args.check else '->'} {args.out}")
     for key, value in metrics.items():
         if value is None:

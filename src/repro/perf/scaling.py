@@ -3,35 +3,26 @@
 The paper runs at 256 nodes (and ROADMAP item 1 asks for 1024–4096-rank
 sweeps); what must stay flat under weak scaling is the *per-rank* cost of
 the FT machinery — the FD's scan round and the recovery's group rebuild.
-This module measures exactly those two kernels plus an end-to-end
-fixed-per-rank-workload scenario ladder, in both `repro.ft.rankstate`
-modes:
-
-* ``vectorized`` — the struct-of-arrays fast path (recorded as
-  ``current`` in ``BENCH_core.json``);
-* ``scalar`` — the retained pre-vectorization reference (recorded as the
-  ``seed`` equivalent, so the speedup is measured, not remembered).
+This module measures exactly those two kernels, the checkpoint planes
+and an end-to-end fixed-per-rank-workload scenario ladder.  ``bench
+--scaling`` records them as ``current`` in ``BENCH_core.json``; the
+``seed`` table beside it is the frozen pre-vectorization measurement the
+speedup targets are read against.
 
 Metrics (all lower-is-better except the ladder maximum):
 
 * ``fd_scan_us_per_rank`` — wall microseconds per probed rank per FD
   scan round, measured over full ``scan_once`` rounds inside a live
-  simulation at the reference scale (256 ranks).  The scalar reference
-  re-derives its target list every round and sweeps sequentially (one
-  simulator callback chain per probe); the vectorized path reuses the
-  cached target list and posts one single-callback batched sweep.
+  simulation at the reference scale (256 ranks): the target list is
+  derived once, and every round posts one single-callback batched sweep.
 * ``group_rebuild_us_per_rank`` — wall microseconds per member of one
   recovery-side group rebuild: ``map_members`` + ``group_create`` +
   ``group_fill`` + ``logical_in_map``.  The collective commit is
-  excluded — its virtual cost is identical in both modes and would only
-  add noise.  The scalar reference replicates the historical
-  O(n^2) per-add membership scans.
+  excluded — its virtual cost would only add noise.
 * ``ckpt_mirror_us_per_rank`` — wall microseconds per rank per
-  checkpoint write+mirror round.  The vectorized mode commits whole
-  rounds via ``CheckpointManager.commit_round`` (shared staging arena,
-  one cached O(n) neighbor map, one round-priced mirror scatter); the
-  scalar reference runs the per-rank write + helper-thread mirror
-  pipeline of :class:`repro.perf.helper_mirror.HelperMirrorLib`.
+  checkpoint write+mirror round, committed whole through
+  ``CheckpointManager.commit_round`` (shared staging arena, one cached
+  O(n) neighbor map, one round-priced mirror scatter).
 * ``ranks_max_at_60s`` — the largest ladder rung whose fixed
   per-rank-workload scenario (one mid-run failure, full detect →
   promote → rebuild → restore cycle) completes within the wall cap.
@@ -68,19 +59,33 @@ ITERATIONS = 25
 KILL = (10.5, 3)
 
 
+def _run_gc_paused(main, n_ranks: int) -> None:
+    """``run_gaspi(main)`` with the collector paused: the standard
+    benchmark hygiene, since collector pauses otherwise land randomly
+    inside the timed region."""
+    from repro.gaspi import run_gaspi
+
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run_gaspi(main, n_ranks=n_ranks)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
 # ----------------------------------------------------------------------
 # kernel bench 1: FD scan round
 # ----------------------------------------------------------------------
 def bench_fd_scan_us_per_rank(n_ranks: int = REFERENCE_RANKS,
-                              mode: str = "vectorized",
                               rounds: Optional[int] = None) -> float:
     """Wall microseconds per probed rank per full FD scan round.
 
     One rank (the FD slot, ``n_ranks - 1``) sweeps all others ``rounds``
-    times inside a live simulation, exercising the mode's real scan
+    times inside a live simulation, exercising the detector's real scan
     pipeline: target derivation via the rankstate kernels, then
-    ``scan_once`` with the mode's sweep flavour (batched single-callback
-    vs. sequential per-probe events).
+    ``scan_once``.
     """
     import numpy as np
 
@@ -93,25 +98,21 @@ def bench_fd_scan_us_per_rank(n_ranks: int = REFERENCE_RANKS,
     n_rounds = rounds
     wall = [0.0]
 
-    with rankstate.use(mode):
-        ks = rankstate.kernels()
+    def main(ctx):
+        if ctx.rank != n_ranks - 1:
+            return
+        statuses = np.zeros(n_ranks, dtype=np.int64)
+        avoid = rankstate.avoid_mask(statuses)
+        targets: Optional[List[int]] = None
+        t0 = time.perf_counter()
+        for _ in range(n_rounds):
+            if targets is None:
+                targets = rankstate.scan_targets(avoid, ctx.rank)
+            failed = yield from scan_once(ctx, targets, 1)
+            assert not failed
+        wall[0] = time.perf_counter() - t0
 
-        def main(ctx):
-            if ctx.rank != n_ranks - 1:
-                return
-            statuses = np.zeros(n_ranks, dtype=np.int64)
-            avoid = ks.avoid_mask(statuses)
-            targets: Optional[List[int]] = None
-            t0 = time.perf_counter()
-            for _ in range(n_rounds):
-                if targets is None or ks.derive_targets_each_scan:
-                    targets = ks.scan_targets(avoid, ctx.rank)
-                failed = yield from scan_once(ctx, targets, 1,
-                                              batched=ks.batched_sweep)
-                assert not failed
-            wall[0] = time.perf_counter() - t0
-
-        run_gaspi(main, n_ranks=n_ranks)
+    run_gaspi(main, n_ranks=n_ranks)
     return wall[0] / (n_rounds * (n_ranks - 1)) * 1e6
 
 
@@ -119,31 +120,27 @@ def bench_fd_scan_us_per_rank(n_ranks: int = REFERENCE_RANKS,
 # kernel bench 2: group rebuild
 # ----------------------------------------------------------------------
 def bench_group_rebuild_us_per_rank(n_ranks: int = REFERENCE_RANKS,
-                                    mode: str = "vectorized",
                                     rounds: Optional[int] = None) -> float:
     """Wall microseconds per member of one recovery group rebuild.
 
     Measures the Python-side rebuild work each member performs in
     :func:`repro.ft.recovery.perform_recovery`: sorted member extraction
     from the rank map, group creation and population, and the rank's own
-    logical-identity lookup.  The collective commit is excluded — it
-    costs the same in both modes.
+    logical-identity lookup.  The collective commit is excluded.
     """
     from repro.ft import rankstate
     from repro.gaspi.groups import Group
 
     if rounds is None:
         rounds = max(4, 4096 // n_ranks)
-    ks = (rankstate.VectorizedKernels if mode == "vectorized"
-          else rankstate.ScalarKernels)
     rank_map = {logical: logical for logical in range(n_ranks)}
 
     t0 = time.perf_counter()
     for k in range(rounds):
-        members = ks.map_members(rank_map)
+        members = rankstate.map_members(rank_map)
         group = Group(tag=k)
-        ks.group_fill(group, members)
-        assert ks.logical_in_map(rank_map, n_ranks - 1) == n_ranks - 1
+        rankstate.group_fill(group, members)
+        assert rankstate.logical_in_map(rank_map, n_ranks - 1) == n_ranks - 1
         assert len(group.members) == n_ranks
     wall = time.perf_counter() - t0
     return wall / (rounds * n_ranks) * 1e6
@@ -153,19 +150,15 @@ def bench_group_rebuild_us_per_rank(n_ranks: int = REFERENCE_RANKS,
 # kernel bench 3: checkpoint mirror round
 # ----------------------------------------------------------------------
 def bench_ckpt_mirror_us_per_rank(n_ranks: int = REFERENCE_RANKS,
-                                  mode: str = "vectorized",
                                   rounds: Optional[int] = None) -> float:
     """Wall microseconds per rank per checkpoint write+mirror round.
 
     Every rank commits one checkpoint per round and all of the round's
-    neighbor mirrors must land before the next round starts.  The
-    vectorized mode drives the whole round through
+    neighbor mirrors must land before the next round starts.  The whole
+    round is driven through
     :meth:`repro.checkpoint.CheckpointManager.commit_round` (one shared
     arena pack, one cached neighbor map, one round-priced mirror
-    scatter); the scalar reference runs the per-rank
-    ``write_checkpoint`` + helper-thread pipeline of
-    :class:`~repro.perf.helper_mirror.HelperMirrorLib`, one mirror
-    transfer per rank per round.
+    scatter).
 
     ``rounds`` counts *timed* rounds (at least 2); one extra untimed
     round runs first so that one-time costs (neighbor-map build, arena
@@ -180,9 +173,6 @@ def bench_ckpt_mirror_us_per_rank(n_ranks: int = REFERENCE_RANKS,
     import numpy as np
 
     from repro.checkpoint import CheckpointLib, CheckpointManager
-    from repro.ft import rankstate
-    from repro.gaspi import run_gaspi
-    from repro.perf.helper_mirror import HelperMirrorLib
     from repro.sim import Sleep, WaitEvent
 
     if rounds is None:
@@ -194,70 +184,40 @@ def bench_ckpt_mirror_us_per_rank(n_ranks: int = REFERENCE_RANKS,
     #: best observed per-round wall seconds (min over timed rounds)
     wall = [0.0]
 
-    with rankstate.use(mode):
-        if mode != "scalar":
-            def main(ctx):
-                if ctx.rank != 0:
-                    return
-                libs = {
-                    r: CheckpointLib(ctx.world.contexts[r], r,
-                                     range(n_ranks))
-                    for r in range(n_ranks)
-                }
-                manager = CheckpointManager.of(ctx.world)
-                payloads = {r: payload for r in range(n_ranks)}
-                marks = []
-                for k in range(n_rounds):
-                    yield Sleep((k + 1) * period - ctx.now)
-                    if k >= 1:
-                        # round-top marks after the warm-up round; the
-                        # consecutive diffs are full per-round walls
-                        marks.append(time.perf_counter())
-                    mirrors = yield from manager.commit_round(
-                        libs, k, payloads, nominal_bytes=nominal)
-                    # all of a healthy uniform-fabric round's mirrors land
-                    # in the same delivery tick: wait once, then sweep any
-                    # stragglers (none in this scenario) instead of paying
-                    # a countdown callback per mirror inside the timing
-                    events = list(mirrors.values())
-                    yield WaitEvent(events[-1], 10.0)
-                    for ev in events:
-                        if not ev.fired:
-                            yield WaitEvent(ev, 10.0)
-                yield Sleep(period / 2)
+    def main(ctx):
+        if ctx.rank != 0:
+            return
+        libs = {
+            r: CheckpointLib(ctx.world.contexts[r], r, range(n_ranks))
+            for r in range(n_ranks)
+        }
+        manager = CheckpointManager.of(ctx.world)
+        payloads = {r: payload for r in range(n_ranks)}
+        marks = []
+        for k in range(n_rounds):
+            yield Sleep((k + 1) * period - ctx.now)
+            if k >= 1:
+                # round-top marks after the warm-up round; the
+                # consecutive diffs are full per-round walls
                 marks.append(time.perf_counter())
-                wall[0] = min(b - a for a, b in zip(marks, marks[1:]))
-                for lib in libs.values():
-                    lib.shutdown()
-        else:
-            def main(ctx):
-                lib = HelperMirrorLib(ctx, ctx.rank, range(n_ranks))
-                marks = []
-                for k in range(n_rounds):
-                    yield Sleep((k + 1) * period - ctx.now)
-                    if k >= 1 and ctx.rank == 0:
-                        # rank 0 resumes at every round top: consecutive
-                        # diffs span the whole world's round
-                        marks.append(time.perf_counter())
-                    mirrored = yield from lib.write_checkpoint(
-                        k, payload, nominal_bytes=nominal)
-                    yield WaitEvent(mirrored, 10.0)
-                if ctx.rank == 0:
-                    yield Sleep(period / 2)
-                    marks.append(time.perf_counter())
-                    wall[0] = min(b - a for a, b in zip(marks, marks[1:]))
-                lib.shutdown()
+            mirrors = yield from manager.commit_round(
+                libs, k, payloads, nominal_bytes=nominal)
+            # all of a healthy uniform-fabric round's mirrors land in the
+            # same delivery tick: wait once, then sweep any stragglers
+            # (none in this scenario) instead of paying a countdown
+            # callback per mirror inside the timing
+            events = list(mirrors.values())
+            yield WaitEvent(events[-1], 10.0)
+            for ev in events:
+                if not ev.fired:
+                    yield WaitEvent(ev, 10.0)
+        yield Sleep(period / 2)
+        marks.append(time.perf_counter())
+        wall[0] = min(b - a for a, b in zip(marks, marks[1:]))
+        for lib in libs.values():
+            lib.shutdown()
 
-        # standard benchmark hygiene: collector pauses otherwise land
-        # randomly inside either mode's timed region
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            run_gaspi(main, n_ranks=n_ranks)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+    _run_gc_paused(main, n_ranks)
     return wall[0] / n_ranks * 1e6
 
 
@@ -266,7 +226,6 @@ def bench_ckpt_mirror_us_per_rank(n_ranks: int = REFERENCE_RANKS,
 # ----------------------------------------------------------------------
 def bench_ckpt_replicated_restore_us_per_rank(
     n_ranks: int = REFERENCE_RANKS,
-    mode: str = "vectorized",
     rounds: Optional[int] = None,
 ) -> float:
     """Wall microseconds per rank per replicated-backend restore round.
@@ -275,10 +234,7 @@ def bench_ckpt_replicated_restore_us_per_rank(
     scattered to its holders), then repeatedly restores it: the batched
     ``read_list`` fetch across the surviving replica set, CRC-validated
     unpack included — the per-rank cost of the recovery path the
-    replicated backend exists for.  Unlike the mirror bench there is no
-    per-mode pipeline split: the scatter/fetch planes are manager-driven
-    in both rankstate modes, so both run the identical code path (the
-    mode knob stays for ``BENCH_core.json`` symmetry).
+    replicated backend exists for.
 
     Timing protocol matches :func:`bench_ckpt_mirror_us_per_rank`: one
     untimed warm-up round (placement map build, store wiring, arena
@@ -287,8 +243,6 @@ def bench_ckpt_replicated_restore_us_per_rank(
     import numpy as np
 
     from repro.checkpoint import CheckpointConfig, ReplicatedCheckpointLib
-    from repro.ft import rankstate
-    from repro.gaspi import run_gaspi
     from repro.sim import Sleep, WaitEvent
 
     if rounds is None:
@@ -299,49 +253,38 @@ def bench_ckpt_replicated_restore_us_per_rank(
     period = 1.0  # virtual seconds between rounds; fetches land inside
     wall = [0.0]
 
-    with rankstate.use(mode):
-        def main(ctx):
-            lib = ReplicatedCheckpointLib(
-                ctx, ctx.rank, range(n_ranks),
-                config=CheckpointConfig(backend="replicated", tag="bench"),
-            )
-            protected = yield from lib.write_checkpoint(
-                0, payload, nominal_bytes=nominal)
-            yield WaitEvent(protected, 10.0)
-            marks = []
-            for k in range(n_rounds):
-                yield Sleep((k + 1) * period - ctx.now)
-                if k >= 1 and ctx.rank == 0:
-                    # rank 0 resumes at every round top: consecutive
-                    # diffs span the whole world's restore round
-                    marks.append(time.perf_counter())
-                version, restored = yield from lib.read_checkpoint(
-                    0, reprotect=False)
-                assert version == 0 and "step" in restored
-            if ctx.rank == 0:
-                yield Sleep(period / 2)
+    def main(ctx):
+        lib = ReplicatedCheckpointLib(
+            ctx, ctx.rank, range(n_ranks),
+            config=CheckpointConfig(backend="replicated", tag="bench"),
+        )
+        protected = yield from lib.write_checkpoint(
+            0, payload, nominal_bytes=nominal)
+        yield WaitEvent(protected, 10.0)
+        marks = []
+        for k in range(n_rounds):
+            yield Sleep((k + 1) * period - ctx.now)
+            if k >= 1 and ctx.rank == 0:
+                # rank 0 resumes at every round top: consecutive
+                # diffs span the whole world's restore round
                 marks.append(time.perf_counter())
-                wall[0] = min(b - a for a, b in zip(marks, marks[1:]))
-            lib.shutdown()
+            version, restored = yield from lib.read_checkpoint(
+                0, reprotect=False)
+            assert version == 0 and "step" in restored
+        if ctx.rank == 0:
+            yield Sleep(period / 2)
+            marks.append(time.perf_counter())
+            wall[0] = min(b - a for a, b in zip(marks, marks[1:]))
+        lib.shutdown()
 
-        # standard benchmark hygiene: collector pauses otherwise land
-        # randomly inside the timed region
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            run_gaspi(main, n_ranks=n_ranks)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+    _run_gc_paused(main, n_ranks)
     return wall[0] / n_ranks * 1e6
 
 
 # ----------------------------------------------------------------------
 # kernel bench 5: world construction
 # ----------------------------------------------------------------------
-def bench_world_build(workers: int, mode: str = "vectorized",
-                      repeats: int = 3) -> Dict[str, float]:
+def bench_world_build(workers: int, repeats: int = 3) -> Dict[str, float]:
     """Construction-only probe: build one scenario rung's world, untouched.
 
     Returns ``{"world_build_s": ..., "world_peak_mb": ...}`` for the
@@ -358,7 +301,6 @@ def bench_world_build(workers: int, mode: str = "vectorized",
 
     from repro.experiments.common import ft_config_for, machine_for
     from repro.cluster import Machine
-    from repro.ft import rankstate
     from repro.gaspi.runtime import GaspiWorld
     from repro.sim import Simulator
     from repro.workloads.spec import scaled_spec
@@ -372,22 +314,21 @@ def bench_world_build(workers: int, mode: str = "vectorized",
         sim = Simulator()
         return GaspiWorld(sim, Machine(sim, machine_spec))
 
-    with rankstate.use(mode):
-        build_s = float("inf")
-        for _ in range(max(1, repeats)):
-            gc.collect()
-            t0 = time.perf_counter()
-            world = build()
-            build_s = min(build_s, time.perf_counter() - t0)
-            assert world.n_ranks == cfg.n_ranks
-            del world
+    build_s = float("inf")
+    for _ in range(max(1, repeats)):
         gc.collect()
-        tracemalloc.start()
-        try:
-            build()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        t0 = time.perf_counter()
+        world = build()
+        build_s = min(build_s, time.perf_counter() - t0)
+        assert world.n_ranks == cfg.n_ranks
+        del world
+    gc.collect()
+    tracemalloc.start()
+    try:
+        build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     return {
         "world_build_s": round(build_s, 4),
         "world_peak_mb": round(peak / (1 << 20), 3),
@@ -397,28 +338,25 @@ def bench_world_build(workers: int, mode: str = "vectorized",
 # ----------------------------------------------------------------------
 # end-to-end ladder: fixed per-rank workload, one failure per rung
 # ----------------------------------------------------------------------
-def scenario_wall_s(workers: int, mode: str = "vectorized") -> float:
+def scenario_wall_s(workers: int) -> float:
     """Wall seconds of one fixed-per-rank-workload failure scenario."""
     from repro.experiments.common import run_ft_scenario
-    from repro.ft import rankstate
     from repro.workloads.spec import scaled_spec
 
     spec = scaled_spec(workers=workers, iterations=ITERATIONS,
                        name=f"weak-{workers}")
-    with rankstate.use(mode):
-        t0 = time.perf_counter()
-        outcome = run_ft_scenario(f"weak-{workers}", spec,
-                                  kill_times=[KILL], n_spares=N_SPARES)
-        wall = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    outcome = run_ft_scenario(f"weak-{workers}", spec,
+                              kill_times=[KILL], n_spares=N_SPARES)
+    wall = time.perf_counter() - t0
     assert outcome.n_recoveries == 1
     return wall
 
 
-def run_scaling(mode: str = "vectorized",
-                ranks: Sequence[int] = RANKS_LADDER,
+def run_scaling(ranks: Sequence[int] = RANKS_LADDER,
                 wall_cap_s: float = WALL_CAP_S,
                 scenarios: bool = True) -> Dict[str, object]:
-    """The full weak-scaling suite for one rankstate mode.
+    """The full weak-scaling suite.
 
     Returns per-rung kernel measurements, the scenario ladder walls, and
     ``ranks_max_at_60s``.  A rung predicted (from the previous rung,
@@ -441,16 +379,14 @@ def run_scaling(mode: str = "vectorized",
     # segments, lazy boards) keeps even the 4096-rank bench worlds cheap,
     # so the kernel benches run at every rung of the ladder
     for n in ladder:
-        build = bench_world_build(n, mode)
+        build = bench_world_build(n)
         world_build[str(n)] = build["world_build_s"]
         world_peak[str(n)] = build["world_peak_mb"]
-        fd_scan[str(n)] = round(bench_fd_scan_us_per_rank(n, mode), 3)
-        rebuild[str(n)] = round(
-            bench_group_rebuild_us_per_rank(n, mode), 3)
-        ckpt_mirror[str(n)] = round(
-            bench_ckpt_mirror_us_per_rank(n, mode), 3)
+        fd_scan[str(n)] = round(bench_fd_scan_us_per_rank(n), 3)
+        rebuild[str(n)] = round(bench_group_rebuild_us_per_rank(n), 3)
+        ckpt_mirror[str(n)] = round(bench_ckpt_mirror_us_per_rank(n), 3)
         ckpt_replicated[str(n)] = round(
-            bench_ckpt_replicated_restore_us_per_rank(n, mode), 3)
+            bench_ckpt_replicated_restore_us_per_rank(n), 3)
 
     if scenarios:
         prev_n: Optional[int] = None
@@ -464,7 +400,7 @@ def run_scaling(mode: str = "vectorized",
                         f"{wall_cap_s:.0f}s cap (from weak-{prev_n} at "
                         f"{prev_wall:.1f}s)")
                     break
-            wall = scenario_wall_s(n, mode)
+            wall = scenario_wall_s(n)
             walls[str(n)] = round(wall, 3)
             prev_n, prev_wall = n, wall
             if wall > wall_cap_s:
@@ -474,7 +410,6 @@ def run_scaling(mode: str = "vectorized",
             ranks_max = n
 
     return {
-        "mode": mode,
         "ranks": ladder,
         "wall_cap_s": wall_cap_s,
         "world_build_s": world_build,
@@ -490,7 +425,7 @@ def run_scaling(mode: str = "vectorized",
 
 
 def summary_metrics(scaling: Dict[str, object]) -> Dict[str, float]:
-    """The flat ``BENCH_core.json`` metrics from one mode's ladder run.
+    """The flat ``BENCH_core.json`` metrics from one ladder run.
 
     The per-rank kernel metrics are reported at the reference scale
     (256 ranks, the paper's node count) or, failing that, the largest

@@ -13,14 +13,15 @@ copy are the only documented non-observables.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import CheckpointLib, CheckpointManager
 from repro.cluster import FaultPlan, MachineSpec, NetworkParams
-from repro.ft import rankstate
 from repro.gaspi import run_gaspi
 from repro.sim import Event, Sleep
+from tests.oracles import scalar_kernels
 from tests.oracles.helper_mirror import HelperMirrorLib
 
 NOMINALS = [None, 1 << 18, 1 << 20]
@@ -95,7 +96,8 @@ def run_sequential_helper(n_ranks, sizes, n_rounds, nominal, kills,
         lib.shutdown()
 
     # the scalar kernels derive the oracle's neighbor map independently
-    with rankstate.use("scalar"):
+    with pytest.MonkeyPatch.context() as mp:
+        scalar_kernels.install(mp)
         run = run_gaspi(main, n_ranks=n_ranks,
                         fault_plan=_build_plan(kills))
     return ({r: dict(s) for r, s in stats.items()}, fires,
@@ -132,9 +134,8 @@ def run_commit_round(n_ranks, sizes, n_rounds, nominal, kills,
         for lib in libs.values():
             lib.shutdown()
 
-    with rankstate.use("vectorized"):
-        run = run_gaspi(main, n_ranks=n_ranks, machine_spec=machine_spec,
-                        fault_plan=_build_plan(kills))
+    run = run_gaspi(main, n_ranks=n_ranks, machine_spec=machine_spec,
+                    fault_plan=_build_plan(kills))
     return ({r: dict(s) for r, s in stats.items()}, fires,
             _snapshot_stores(run.machine, n_ranks))
 

@@ -21,12 +21,12 @@ from repro.checkpoint import (
     ReplicatedCheckpointLib,
     make_checkpoint_lib,
     replica_holder_map,
-    replica_holders,
 )
 from repro.cluster import FaultPlan
-from repro.ft import rankstate
 from repro.gaspi import run_gaspi
 from repro.sim import Sleep, WaitEvent
+from tests.oracles import scalar_kernels
+from tests.oracles.placement import replica_holders
 
 # ----------------------------------------------------------------------
 # placement properties
@@ -49,13 +49,15 @@ def test_placement_invariants_and_kernel_identity(participants, r,
 
     ring = sorted(participants)
     n = len(ring)
-    for mode in ("vectorized", "scalar"):
-        with rankstate.use(mode):
+    for oracle in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if oracle:
+                scalar_kernels.install(mp)
             holder_map = replica_holder_map(participants, node_of, r)
         assert sorted(holder_map) == ring
         for idx, rank in enumerate(ring):
             holders = holder_map[rank]
-            # the active kernel must agree with the scalar oracle
+            # either kernel set must agree with the per-rank oracle
             assert holders == replica_holders(rank, participants,
                                               node_of, r)
             assert len(holders) <= r
@@ -191,15 +193,16 @@ def test_factory_dispatch_and_unknown_backend():
 
 
 def test_experiment_rows_identical_across_rankstate_modes():
-    """The 16-rank replicated-backend scenario measures identically in
-    scalar and vectorized modes: the fast path changes wall cost only,
-    never virtual timestamps or restore accounting."""
+    """The 16-rank replicated-backend scenario measures identically on
+    the vectorized kernels and on the scalar oracle: the fast path
+    changes wall cost only, never virtual timestamps or restore
+    accounting."""
     from repro.experiments.recovery_compare import measure_backend
 
-    rows = {}
-    for mode in ("scalar", "vectorized"):
-        with rankstate.use(mode):
-            rows[mode] = measure_backend(16, "replicated")
-    assert rows["scalar"] == rows["vectorized"]
-    det, reinit, restore_ops, restore_bytes, restore_s = rows["scalar"]
+    vectorized = measure_backend(16, "replicated")
+    with pytest.MonkeyPatch.context() as mp:
+        scalar_kernels.install(mp)
+        scalar = measure_backend(16, "replicated")
+    assert scalar == vectorized
+    det, reinit, restore_ops, restore_bytes, restore_s = scalar
     assert restore_ops > 0 and restore_bytes > 0 and restore_s > 0

@@ -39,8 +39,10 @@ def run_sweep(batched, n_nodes=8, width=1, kills=(), pre_broken=(),
             for rank in pre_broken:
                 ev = m.transport.post_ping(0, rank)
                 yield WaitEvent(ev, timeout=10.0)
-        ev = m.transport.post_ping_sweep(0, targets, width=width,
-                                         batched=batched)
+        if batched:
+            ev = m.transport.post_ping_sweep(0, targets, width=width)
+        else:  # the callback-chained reference sweep
+            ev = m.transport._post_ping_sweep_seq(0, list(targets), width)
         ok, (success, results) = yield WaitEvent(ev, timeout=120.0)
         return ok and success, list(results), sim.now
 
@@ -91,7 +93,7 @@ def test_partitioned_target_counts_as_dead():
     m.network.isolate_node(4)
 
     def prober():
-        ev = m.transport.post_ping_sweep(0, [1, 4, 6], batched=True)
+        ev = m.transport.post_ping_sweep(0, [1, 4, 6])
         ok, (success, results) = yield WaitEvent(ev, timeout=60.0)
         return ok and success, [(r, alive) for r, alive, _, _ in results]
 
@@ -113,7 +115,7 @@ def test_sweep_results_sequence_protocol():
     holder = []
 
     def prober():
-        ev = m.transport.post_ping_sweep(0, [1, 2, 3], batched=True)
+        ev = m.transport.post_ping_sweep(0, [1, 2, 3])
         _ok, (_success, results) = yield WaitEvent(ev, timeout=60.0)
         holder.append(results)
 

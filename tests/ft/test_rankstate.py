@@ -1,7 +1,7 @@
 """Property tests: the vectorized rankstate kernels equal the scalar
-reference on every input — randomized failure patterns, rank counts from
+oracle on every input — randomized failure patterns, rank counts from
 16 to 512, degenerate and truncated rescue batches — and the end-to-end
-scenario rows are byte-identical under either mode."""
+scenario rows are byte-identical with the oracle installed."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.ft import rankstate
-from repro.ft.rankstate import ScalarKernels, VectorizedKernels
 from repro.ft.roles import Role
 from repro.gaspi.groups import Group
+from tests.oracles import scalar_kernels
+from tests.oracles.scalar_kernels import ScalarKernels
 
 ROLE_VALUES = [int(r) for r in Role]
 
@@ -41,19 +42,19 @@ def test_detector_state_kernels_identical(world):
     n = len(statuses)
     self_rank = n - 1
 
-    avoid_v = VectorizedKernels.avoid_mask(statuses)
+    avoid_v = rankstate.avoid_mask(statuses)
     avoid_s = ScalarKernels.avoid_mask(statuses)
     assert np.array_equal(avoid_v, avoid_s)
 
-    VectorizedKernels.mark_avoided(avoid_v, subset)
+    rankstate.mark_avoided(avoid_v, subset)
     ScalarKernels.mark_avoided(avoid_s, subset)
     assert np.array_equal(avoid_v, avoid_s)
 
-    tv = VectorizedKernels.scan_targets(avoid_v, self_rank)
+    tv = rankstate.scan_targets(avoid_v, self_rank)
     ts = ScalarKernels.scan_targets(avoid_s, self_rank)
     assert tv == ts and _plain_ints(tv)
 
-    hv = VectorizedKernels.healthy_targets(avoid_v, statuses)
+    hv = rankstate.healthy_targets(avoid_v, statuses)
     hs = ScalarKernels.healthy_targets(avoid_s, statuses)
     assert hv == hs and _plain_ints(hv)
 
@@ -63,14 +64,14 @@ def test_detector_state_kernels_identical(world):
 @given(rank_world())
 def test_role_and_split_kernels_identical(world):
     statuses, subset, rank_map_arr = world
-    assert (VectorizedKernels.idle_ranks(statuses)
+    assert (rankstate.idle_ranks(statuses)
             == ScalarKernels.idle_ranks(statuses))
     for roles in ((Role.IDLE,), (Role.IDLE, Role.FD), (Role.WORKING,)):
-        rv = VectorizedKernels.ranks_with_roles(statuses, roles)
+        rv = rankstate.ranks_with_roles(statuses, roles)
         rs = ScalarKernels.ranks_with_roles(statuses, roles)
         assert rv == rs and _plain_ints(rv)
 
-    wv, ov = VectorizedKernels.split_failed(subset, rank_map_arr)
+    wv, ov = rankstate.split_failed(subset, rank_map_arr)
     ws, os_ = ScalarKernels.split_failed(subset, rank_map_arr)
     assert (wv, ov) == (ws, os_)
     assert _plain_ints(wv) and _plain_ints(ov)
@@ -88,15 +89,15 @@ def test_rescue_and_map_kernels_identical(world, n_failed, n_rescues):
     # pairing must truncate like dict(zip(...)))
     failed = rng.permutation(rank_map_arr)[:n_failed].tolist()
     rescues = rng.permutation(n)[:n_rescues].tolist()
-    out_v = VectorizedKernels.apply_rescues(rank_map_arr, failed, rescues)
+    out_v = rankstate.apply_rescues(rank_map_arr, failed, rescues)
     out_s = ScalarKernels.apply_rescues(rank_map_arr, failed, rescues)
     assert np.array_equal(out_v, out_s)
 
     rank_map = {i: int(p) for i, p in enumerate(out_v)}
-    assert (VectorizedKernels.map_members(rank_map)
+    assert (rankstate.map_members(rank_map)
             == ScalarKernels.map_members(rank_map))
     for phys in (int(out_v[0]), n + 7):  # present and absent
-        assert (VectorizedKernels.logical_in_map(rank_map, phys)
+        assert (rankstate.logical_in_map(rank_map, phys)
                 == ScalarKernels.logical_in_map(rank_map, phys))
 
 
@@ -106,26 +107,10 @@ def test_rescue_and_map_kernels_identical(world, n_failed, n_rescues):
 def test_group_fill_kernels_identical(n, seed):
     members = np.random.default_rng(seed).permutation(n).tolist()
     gv, gs = Group(tag=1), Group(tag=1)
-    VectorizedKernels.group_fill(gv, members)
+    rankstate.group_fill(gv, members)
     ScalarKernels.group_fill(gs, members)
     assert gv.members == gs.members
     assert gv.identity() == gs.identity()
-
-
-def test_mode_machinery():
-    assert rankstate.mode() == "vectorized"
-    assert rankstate.kernels() is VectorizedKernels
-    with rankstate.use("scalar"):
-        assert rankstate.kernels() is ScalarKernels
-        assert rankstate.mode() == "scalar"
-    assert rankstate.mode() == "vectorized"
-    with pytest.raises(ValueError):
-        rankstate.set_mode("simd")
-    # a failing body must still restore the previous mode
-    with pytest.raises(RuntimeError):
-        with rankstate.use("scalar"):
-            raise RuntimeError("boom")
-    assert rankstate.mode() == "vectorized"
 
 
 def test_end_to_end_scenario_byte_identical_across_modes():
@@ -136,12 +121,57 @@ def test_end_to_end_scenario_byte_identical_across_modes():
     spec = scaled_spec(workers=12, iterations=140, name="ident-16")
     fields = ("total_runtime", "computation_time", "redo_work_time",
               "reinit_time", "detection_time", "n_recoveries")
-    rows = {}
-    for mode in rankstate.MODES:
-        with rankstate.use(mode):
-            outcome = run_ft_scenario(
-                "ident", spec, kill_times=[(12.5, 2), (31.0, 7)],
-                n_spares=4)
-        rows[mode] = tuple(getattr(outcome, f) for f in fields)
-    assert rows["vectorized"] == rows["scalar"]
-    assert rows["vectorized"][-1] == 2  # both kills recovered
+
+    def row():
+        outcome = run_ft_scenario(
+            "ident", spec, kill_times=[(12.5, 2), (31.0, 7)], n_spares=4)
+        return tuple(getattr(outcome, f) for f in fields)
+
+    vectorized = row()
+    with pytest.MonkeyPatch.context() as mp:
+        scalar_kernels.install(mp)
+        scalar = row()
+    assert vectorized == scalar
+    assert vectorized[-1] == 2  # both kills recovered
+
+
+def test_scalar_oracle_is_what_production_runs(scalar_oracle, monkeypatch):
+    """With the oracle installed, an FT run really calls the scalar
+    kernels, the per-target broadcast and the sequential sweep (else the
+    row test above is vacuous)."""
+    from repro.checkpoint.manager import CheckpointConfig
+    from repro.cluster.transport import Transport
+    from repro.experiments.common import run_ft_scenario
+    from repro.ft.control import ControlBlock
+    from repro.workloads.spec import scaled_spec
+
+    for name in scalar_kernels.KERNELS:
+        assert getattr(rankstate, name) is getattr(ScalarKernels, name)
+    assert ControlBlock.broadcast is scalar_kernels.broadcast_per_target
+    assert (Transport.post_ping_sweep
+            is scalar_kernels.sequential_ping_sweep)
+
+    called = set()
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in scalar_kernels.KERNELS:
+        monkeypatch.setattr(rankstate, name,
+                            spy(name, getattr(rankstate, name)))
+    for owner, name in ((ControlBlock, "broadcast"),
+                        (Transport, "post_ping_sweep")):
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    # one recovery per backend: the neighbor backend places mirrors, the
+    # replicated one replicas
+    spec = scaled_spec(workers=12, iterations=60, name="oracle-16")
+    for backend in ("neighbor", "replicated"):
+        outcome = run_ft_scenario(
+            "oracle", spec, kill_times=[(12.5, 2)], n_spares=4,
+            checkpoint=CheckpointConfig(backend=backend))
+        assert outcome.n_recoveries == 1
+    assert called == set(scalar_kernels.KERNELS) | {"broadcast",
+                                                     "post_ping_sweep"}

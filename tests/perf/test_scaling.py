@@ -1,67 +1,22 @@
-"""Weak-scaling harness units: kernel benches run in both modes, the
-ladder structure is complete and explicit about skips, the summary picks
-the reference scale, and the CI smoke validates end to end (scaled down
-here so the tier-1 suite stays fast)."""
-
-import ast
-from pathlib import Path
-
-import pytest
+"""Weak-scaling harness units: the kernel benches run, the ladder
+structure is complete and explicit about skips, the summary picks the
+reference scale, and the CI smoke validates end to end (scaled down here
+so the tier-1 suite stays fast)."""
 
 from repro.perf import scaling
 from repro.perf.bench import (LOWER_IS_BETTER, TARGET_FLOOR, TARGET_SPEEDUP,
                               _speedup)
 
 
-@pytest.mark.parametrize("mode", ["vectorized", "scalar"])
-def test_kernel_benches_run_in_both_modes(mode):
-    fd = scaling.bench_fd_scan_us_per_rank(16, mode, rounds=2)
-    rb = scaling.bench_group_rebuild_us_per_rank(16, mode, rounds=2)
-    cm = scaling.bench_ckpt_mirror_us_per_rank(16, mode, rounds=2)
+def test_kernel_benches_run():
+    fd = scaling.bench_fd_scan_us_per_rank(16, rounds=2)
+    rb = scaling.bench_group_rebuild_us_per_rank(16, rounds=2)
+    cm = scaling.bench_ckpt_mirror_us_per_rank(16, rounds=2)
     assert fd > 0.0 and rb > 0.0 and cm > 0.0
 
 
-def test_only_the_scalar_mirror_column_runs_the_helper_reference(
-        monkeypatch):
-    """The helper-thread mirror is the scalar column's reference and
-    nothing else: the bench selects it explicitly, and no module under
-    ``src/repro`` outside ``repro.perf`` imports it."""
-    from repro.perf import helper_mirror
-
-    built = []
-    init = helper_mirror.HelperMirrorLib.__init__
-
-    def counting_init(self, ctx, *args, **kwargs):
-        built.append(ctx.rank)
-        init(self, ctx, *args, **kwargs)
-
-    monkeypatch.setattr(helper_mirror.HelperMirrorLib, "__init__",
-                        counting_init)
-    scaling.bench_ckpt_mirror_us_per_rank(16, "vectorized", rounds=2)
-    assert built == []
-    scaling.bench_ckpt_mirror_us_per_rank(16, "scalar", rounds=2)
-    assert sorted(built) == list(range(16))
-
-    src = Path(helper_mirror.__file__).resolve().parents[1]
-    importers = set()
-    for path in src.rglob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [a.name for a in node.names]
-            elif isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            else:
-                continue
-            if any("helper_mirror" in n or n == "HelperMirrorLib"
-                   for n in names):
-                importers.add(path.relative_to(src).parts[0])
-    assert importers == {"perf"}
-
-
 def test_run_scaling_structure_without_scenarios():
-    out = scaling.run_scaling("vectorized", ranks=[8, 16], scenarios=False)
-    assert out["mode"] == "vectorized"
+    out = scaling.run_scaling(ranks=[8, 16], scenarios=False)
     assert out["ranks"] == [8, 16]
     assert set(out["fd_scan_us_per_rank"]) == {"8", "16"}
     assert set(out["group_rebuild_us_per_rank"]) == {"8", "16"}
@@ -119,7 +74,7 @@ def test_sweep_parallel_speedup_null_on_single_core(monkeypatch):
 
 
 def test_scenario_ladder_runs_a_recovery_at_small_scale():
-    wall = scaling.scenario_wall_s(16, "vectorized")
+    wall = scaling.scenario_wall_s(16)
     assert wall > 0.0
 
 

@@ -3,22 +3,23 @@
 The flyweight build path (interned group memberships, arena-pooled
 segments, lazy queue tables and notification boards, template-COW
 control blocks) must be *observationally identical* to the historical
-eager path — ``GaspiConfig(eager_world=True)`` forces the latter — and
-must keep world construction O(world), never O(ranks), in allocations.
+eager path — the oracle ``tests/oracles/eager_world.py`` — and must
+keep world construction O(world), never O(ranks), in allocations.
 """
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Machine, MachineSpec, TransportParams
 from repro.experiments.common import run_ft_scenario
-from repro.gaspi.config import GaspiConfig
 from repro.gaspi.runtime import GaspiWorld
 from repro.obs.tracer import deactivate, install
 from repro.sim import Simulator
 from repro.workloads.spec import scaled_spec
+from tests.oracles import eager_world
 
 
 # ----------------------------------------------------------------------
@@ -30,9 +31,11 @@ def _rows_and_trace(workers, kill, eager):
                        name=f"equiv-{workers}")
     tracer = install(capacity=8192, bulk_capacity=8192)
     try:
-        out = run_ft_scenario(
-            f"equiv-{workers}", spec, kill_times=[kill], n_spares=4,
-            gaspi_config=GaspiConfig(eager_world=eager))
+        with pytest.MonkeyPatch.context() as mp:
+            if eager:
+                eager_world.install(mp)
+            out = run_ft_scenario(
+                f"equiv-{workers}", spec, kill_times=[kill], n_spares=4)
     finally:
         deactivate()
     worker_rows = out.result.worker_results()
@@ -66,23 +69,35 @@ def test_eager_and_flyweight_worlds_equivalent(workers, data):
     assert flyweight[1] == eager[1]
 
 
-def test_eager_world_materialises_up_front():
+def test_eager_world_materialises_up_front(monkeypatch):
     """The reference path really is eager (else the test above is vacuous)."""
-    world = _fresh_world(8, eager=True)
+    world = eager_world.build_world(monkeypatch, 8)
     ctx = world.contexts[0]
     assert ctx._queues is not None
     # a private membership container, not the world's shared interned one
     assert ctx.group_all._members is not world.members_all
+    assert ctx.state_vector._lazy_states is not None
+
+
+def test_eager_oracle_fixture_skips_the_arena(eager_oracle):
+    """Under the fixture every segment is private and materialised at
+    creation: no arena pool, no pristine buffer, a built board."""
+    world = _fresh_world(4)
+    for ctx in world.contexts.values():
+        assert ctx._queues is not None
+        seg = ctx.segment_create_pooled(7, 64)
+        assert not seg.pristine and seg._notifications is not None
+    assert world.arena.allocations == 0
 
 
 # ----------------------------------------------------------------------
 # construction cost: O(world), not O(ranks)
 # ----------------------------------------------------------------------
-def _fresh_world(n_ranks, eager=False):
+def _fresh_world(n_ranks):
     sim = Simulator()
     machine = Machine(sim, MachineSpec(n_nodes=n_ranks, procs_per_node=1,
                                        transport_params=TransportParams()))
-    return GaspiWorld(sim, machine, config=GaspiConfig(eager_world=eager))
+    return GaspiWorld(sim, machine)
 
 
 def test_group_all_membership_interned_across_contexts():

@@ -17,5 +17,5 @@ def test_subcommand_help(command, capsys):
         main([command, "--help"])
     assert exit_info.value.code == 0
     out = capsys.readouterr().out
-    assert out.startswith("usage:")
+    assert out.startswith(f"usage: python -m repro {command} ")
     assert "--help" in out
