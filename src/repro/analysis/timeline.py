@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.cluster.faults import affected_ranks
 from repro.ft.app import FTRunResult
+from repro.obs.timeline import served_injection
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,10 @@ def recovery_epochs(result: FTRunResult) -> List[RecoveryEpoch]:
     stats = result.fd_stats
     if stats is None or not stats.detections:
         return []
-    injects = sorted(f.time for f in result.run.injected)
+    injected: Dict[int, List[float]] = {}  # rank -> inject times, ascending
+    for fault in sorted(result.run.injected, key=lambda f: f.time):
+        for rank in affected_ranks(fault, result.run.machine):
+            injected.setdefault(rank, []).append(fault.time)
     restores: Dict[int, List[float]] = {}
     for worker in result.worker_results().values():
         epoch = None
@@ -118,13 +123,13 @@ def recovery_epochs(result: FTRunResult) -> List[RecoveryEpoch]:
                 epoch = None
 
     epochs: List[RecoveryEpoch] = []
-    for i, det in enumerate(stats.detections):
+    for det in stats.detections:
         done = restores.get(det.epoch, [])
         epochs.append(RecoveryEpoch(
             epoch=det.epoch,
             failed=det.failed,
             rescues=det.rescues,
-            t_inject=injects[i] if i < len(injects) else None,
+            t_inject=served_injection(det.failed, injected, det.t_detected),
             t_detected=det.t_detected,
             t_acknowledged=det.t_acknowledged,
             t_restored=max(done) if done else None,

@@ -1,4 +1,4 @@
-"""Checkpoint/restart libraries for GASPI applications (three backends).
+"""The checkpoint/restart library for GASPI applications (three backends).
 
 The core is the reproduction of the paper's third contribution
 (Sect. IV-C): an application-level C/R library where each rank
@@ -11,13 +11,12 @@ fault-aware: after a recovery the neighbor map is refreshed from the
 failed-process list, and a restore transparently falls back from the
 local store to the neighbor copy to the PFS copy.
 
-Two alternative backends share the same interface (select with
-``CheckpointConfig.backend`` via :func:`make_checkpoint_lib`): the
-classical synchronous-PFS baseline, and a ReStore-style backend that
+Two alternative backends are rows of the same library's backend table
+(select with ``CheckpointConfig.backend``; :data:`BACKENDS` lists them):
+the classical synchronous-PFS baseline, and a ReStore-style backend that
 replicates each checkpoint in the memory of ``r`` other ranks
-(:mod:`repro.checkpoint.replicated`; arXiv:2203.01107).  See
-``CHECKPOINTS.md`` for wire formats, placement rules and the
-failure-tolerance comparison.
+(arXiv:2203.01107).  See ``CHECKPOINTS.md`` for wire formats, placement
+rules and the failure-tolerance comparison.
 
 Checkpoints are keyed by *logical* rank so that a rescue process (which
 adopts the failed process's logical identity) finds its predecessor's data.
@@ -32,19 +31,16 @@ from repro.checkpoint.serialization import (
 )
 from repro.checkpoint.store import CheckpointNotFound, NodeLocalStore, StoredBlob
 from repro.checkpoint.pfs import ParallelFileSystem
-from repro.checkpoint.neighbor import neighbor_of, neighbor_map
+from repro.checkpoint.neighbor import (
+    neighbor_map,
+    neighbor_of,
+    replica_holder_map,
+)
 from repro.checkpoint.manager import (
     BACKENDS,
     CheckpointConfig,
     CheckpointLib,
     CheckpointManager,
-)
-from repro.checkpoint.replicated import (
-    CheckpointBackend,
-    PfsCheckpointLib,
-    ReplicatedCheckpointLib,
-    make_checkpoint_lib,
-    replica_holder_map,
 )
 
 __all__ = [
@@ -63,9 +59,5 @@ __all__ = [
     "CheckpointConfig",
     "CheckpointLib",
     "CheckpointManager",
-    "CheckpointBackend",
-    "PfsCheckpointLib",
-    "ReplicatedCheckpointLib",
-    "make_checkpoint_lib",
     "replica_holder_map",
 ]

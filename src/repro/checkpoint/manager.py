@@ -20,6 +20,13 @@ reports the newest version this rank could actually restore, which the
 recovery protocol min-reduces across ranks to pick the globally
 consistent restart point (the allreduce-MIN version agreement).
 
+The same class serves all three backends of ``CHECKPOINTS.md``:
+``config.backend`` picks one row of :data:`BACKEND_TABLE` — the neighbor
+mirror (:data:`MIRROR`), the ReStore-style replicas (:data:`REPLICA`:
+the mirror with ``r`` holders) and the classical synchronous PFS
+(:data:`PFS`).  A row says how the backend places, writes, lands and
+finds its copies; only the source search is written per backend.
+
 Parameter ↔ paper-symbol mapping:
 
 ==========================  ====================================================
@@ -37,7 +44,8 @@ parameter                   paper quantity
 
 Restore cost is the paper's OHF3; tracer events (``repro.obs``):
 ``ckpt_write`` (synchronous local span), ``ckpt_mirror`` (async neighbor
-span) and ``restore`` (read path, any source).
+span), ``ckpt_scatter`` (async replica span) and ``restore`` (read path,
+any source).
 """
 
 from __future__ import annotations
@@ -63,9 +71,10 @@ from typing import (
 import numpy as np
 
 from repro.sim import Event, Sleep, WaitEvent
+from repro.gaspi.constants import ReturnCode
 from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import _Members
-from repro.checkpoint.neighbor import neighbor_map
+from repro.checkpoint.neighbor import mirror_holder_map, replica_holder_map
 from repro.checkpoint.pfs import ParallelFileSystem
 from repro.checkpoint.serialization import (
     pack_checkpoint_into,
@@ -79,20 +88,21 @@ from repro.checkpoint.store import (
     StoredBlob,
 )
 
-#: valid values of :attr:`CheckpointConfig.backend` (see ``CHECKPOINTS.md``)
-BACKENDS = ("neighbor", "pfs", "replicated")
+#: a backend's holder map: sorted participants, ``node_of`` and ``r`` to
+#: every participant's holder list
+Placement = Callable[[Sequence[int], Callable[[int], int], int],
+                     Dict[int, List[int]]]
 
 
 @dataclass
 class CheckpointConfig:
     """Knobs of the checkpoint library (all three backends).
 
-    ``backend`` selects the protection scheme behind the common
-    ``CheckpointLib`` interface: ``"neighbor"`` is the paper's §IV-C
-    node-level neighbor mirroring, ``"pfs"`` the classical parallel-file-
-    system checkpoint it argues against, and ``"replicated"`` the
-    ReStore-style in-memory replication of
-    :mod:`repro.checkpoint.replicated` (checkpoints live in the memory of
+    ``backend`` selects the protection scheme behind the one
+    ``CheckpointLib``: ``"neighbor"`` is the paper's §IV-C node-level
+    neighbor mirroring, ``"pfs"`` the classical parallel-file-system
+    checkpoint it argues against, and ``"replicated"`` the ReStore-style
+    in-memory replication (checkpoints live in the memory of
     ``replication`` other ranks; arXiv:2203.01107).
     """
 
@@ -120,17 +130,28 @@ class CheckpointConfig:
 
 
 # ----------------------------------------------------------------------
-# the per-backend part of the copy plane
+# the backend table
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class LandingPolicy:
-    """How one backend lands a copy on a holder.
+    """One row of the backend table: what one backend does differently.
 
-    The copy plane (:class:`CheckpointManager`) is the same for every
-    backend; a library's holder list says *where* its copies go and its
-    policy says what a landed copy *means*.
+    The library (:class:`CheckpointLib`) and the copy plane
+    (:class:`CheckpointManager`) are the same for every backend; a row
+    says where the backend's copies go, what a landed copy *means* and
+    how a restore finds its source.
     """
 
+    #: the holder map (``None``: no copy plane — every write goes
+    #: synchronously to the PFS, which is the only copy)
+    placement: Optional[Placement]
+    #: the :class:`CheckpointConfig` field naming the copy plane's landing
+    #: segment (``""`` without a copy plane)
+    segment: str
+    #: whether a write also keeps the owner-key copy in its node's store
+    local_copy: bool
+    #: whether reads get a dedicated fetch queue (the replica fetch)
+    fetch_queue: bool
     #: store-key namespace (``""`` keeps the owner key); a namespaced copy
     #: is also entered in the replica location index and its trace event
     #: names the holder
@@ -138,36 +159,24 @@ class LandingPolicy:
     #: whether the holder *process* must be alive for the copy to land
     #: (a replica lives in its holder's memory, a mirror in its node store)
     holder_process: bool
-    #: per-library stat counting landed copies, and the one counting
+    #: per-library stat counting protection copies, and the one counting
     #: failed copies (``None``: failures are not counted)
     stat: str
     failed_stat: Optional[str]
     #: tracer event per landed copy, and the ``phase_totals`` keys of
-    #: its (ops, bytes, seconds)
-    event: str
-    totals: Tuple[str, str, str]
+    #: its (ops, bytes, seconds) — ``None`` without a copy plane
+    event: Optional[str]
+    totals: Optional[Tuple[str, str, str]]
     #: the completion event's value, from the number of landed copies
     fired: Callable[[int], Any]
     #: whether every ``config.pfs_every``-th version also goes to the
     #: library's PFS once its holders resolved
     pfs_duty: bool
-
-
-#: the paper's neighbor mirror: one holder, the owner key, fires a bool
-MIRROR = LandingPolicy(prefix="", holder_process=False,
-                       stat="neighbor_copies", failed_stat=None,
-                       event="ckpt_mirror",
-                       totals=("mirror_ops", "mirror_bytes", "mirror_s"),
-                       fired=bool,
-                       pfs_duty=True)
-#: ReStore replicas: ``r`` holders, ``"repl:"`` keys in the location
-#: index, fires the landed-copy count; the PFS is never touched
-REPLICA = LandingPolicy(prefix="repl:", holder_process=True,
-                        stat="replica_copies", failed_stat="failed_copies",
-                        event="ckpt_scatter",
-                        totals=("scatter_ops", "scatter_bytes", "scatter_s"),
-                        fired=int,
-                        pfs_duty=False)
+    #: the source search (the only per-backend algorithms):
+    #: ``restorable_latest``, ``has_local`` and the restore's fetch
+    latest: Callable[["CheckpointLib", Sequence[int]], int]
+    has: Callable[["CheckpointLib", Key], bool]
+    fetch: Callable[..., Generator[Any, Any, Tuple[int, Dict[str, Any]]]]
 
 
 class CopyLane:
@@ -192,9 +201,15 @@ class CopyLane:
 
 
 class CheckpointLib:
-    """Per-rank instance of the neighbor node-level C/R library."""
+    """Per-rank instance of the C/R library, for every backend.
 
-    landing = MIRROR
+    ``config.backend`` selects the library's row of :data:`BACKEND_TABLE`
+    (its :attr:`landing` policy).  Construction, placement, the write
+    path and the restore bookkeeping are shared; the row's ``latest``,
+    ``has`` and ``fetch`` entries are the backend's source search.
+    Raises :class:`ValueError` for an unknown backend and for the
+    ``"pfs"`` backend without a :class:`ParallelFileSystem`.
+    """
 
     def __init__(
         self,
@@ -204,6 +219,19 @@ class CheckpointLib:
         config: Optional[CheckpointConfig] = None,
         pfs: Optional[ParallelFileSystem] = None,
     ) -> None:
+        self.config = config or CheckpointConfig()
+        landing = BACKEND_TABLE.get(self.config.backend)
+        if landing is None:
+            raise ValueError(
+                f"unknown checkpoint backend {self.config.backend!r} "
+                f"(expected one of {', '.join(map(repr, BACKENDS))})"
+            )
+        if landing.placement is None and pfs is None:
+            raise ValueError(
+                f"the {self.config.backend} backend requires a "
+                f"ParallelFileSystem")
+        #: this backend's row of the backend table
+        self.landing = landing
         self.ctx = ctx
         self.machine = ctx.world.machine
         #: a rank's node never changes (a failed rank is replaced by a new
@@ -217,55 +245,71 @@ class CheckpointLib:
         #: before the world starts), so the property chain resolves once
         self._tracer = ctx.tracer
         self.logical_rank = logical_rank
-        self.config = config or CheckpointConfig()
         self.pfs = pfs
         self.participants: Sequence[int] = _Members.intern(
             tuple(sorted(participants)))
-        self.neighbor_rank: Optional[int] = None
-        self.neighbor_node: Optional[int] = None
-        #: the copy plane's holder list: ``[neighbor_rank]`` or ``[]``
+        #: the copy plane's holder list (placement, not location: replica
+        #: reads use the manager's location index instead)
         self.holders: List[int] = []
         self.refresh(self.participants)
-        self.lane = CopyLane(ctx, self.config.mirror_segment,
-                             self.config.mirror_window)
-        self.stats = {"local_writes": 0, "neighbor_copies": 0, "pfs_copies": 0,
-                      "local_reads": 0, "remote_reads": 0, "pfs_reads": 0}
+        # GASPI data plane: the landing window and copy queue, then (for
+        # the replica fetch) a dedicated read queue, so copies and fetches
+        # never contend with queue 0
+        self.lane: Optional[CopyLane] = (
+            CopyLane(ctx, getattr(self.config, landing.segment),
+                     self.config.mirror_window)
+            if landing.segment else None)
+        self._fetch_queue: Optional[int] = (
+            ctx.queue_create() if landing.fetch_queue else None)
+        #: every backend's counters (zero where a backend has no such path)
+        self.stats = dict.fromkeys(
+            ("local_writes", "neighbor_copies", "replica_copies",
+             "failed_copies", "pfs_copies", "local_reads", "remote_reads",
+             "replica_reads", "pfs_reads"), 0)
 
     # ------------------------------------------------------------------
-    # placement helpers
+    # placement
     # ------------------------------------------------------------------
     @property
     def my_node(self) -> int:
         return self._my_node
 
+    @property
+    def neighbor_rank(self) -> Optional[int]:
+        """The first holder: the neighbor backend's mirror partner."""
+        return self.holders[0] if self.holders else None
+
+    @property
+    def neighbor_node(self) -> Optional[int]:
+        rank = self.neighbor_rank
+        return None if rank is None else self.machine.node_of(rank)
+
     def _store_of_node(self, node_id: int) -> NodeLocalStore:
         return NodeLocalStore(self.machine.node(node_id))
 
     def refresh(self, participants: Iterable[int]) -> None:
-        """Fault-aware neighbor update after group reconstruction.
+        """Fault-aware placement update after group reconstruction.
 
-        The whole ring's map comes from the world manager's cached O(n)
-        ``neighbor_map`` build: every library of the same participant set
-        shares one map, and each entry equals :func:`neighbor_of`.
+        The whole ring's holder map comes from the world manager's cached
+        build: every library of the same backend and participant set
+        shares one map.  Already-landed replicas are unaffected: replica
+        reads consult the manager's location index, so holder-map drift
+        never orphans live copies.
         """
         # participants are interned: every library of one team shares the
         # sorted tuple, its set (O(1) membership below) and its hash (the
-        # manager's neighbor-map cache key)
+        # manager's holder-map cache key)
         members = _Members.intern(tuple(sorted(participants)))
         self.participants = members
-        if self.ctx.rank in members.member_set() and len(members) > 1:
+        placement = self.landing.placement
+        if (placement is not None and self.ctx.rank in members.member_set()
+                and len(members) > 1):
             manager = CheckpointManager.of(self.ctx.world)
-            self.neighbor_rank = manager.neighbor_map_for(
-                members
-            )[self.ctx.rank]
+            self.holders = list(manager.holder_map_for(
+                placement, members, self.config.replication
+            ).get(self.ctx.rank, ()))
         else:
-            self.neighbor_rank = None
-        if self.neighbor_rank is None:
-            self.neighbor_node = None
             self.holders = []
-        else:
-            self.neighbor_node = self.machine.node_of(self.neighbor_rank)
-            self.holders = [self.neighbor_rank]
 
     # ------------------------------------------------------------------
     # write path
@@ -274,43 +318,109 @@ class CheckpointLib:
         self, version: int, payload: Dict[str, np.ndarray],
         nominal_bytes: Optional[int] = None,
     ) -> Generator[Any, Any, Event]:
-        """Generator: synchronous local checkpoint + async neighbor copy.
+        """Generator: synchronous checkpoint, then the asynchronous copies.
 
-        Returns an :class:`Event` that fires once the background neighbor
-        (and PFS, if due) copy finished — the application does *not* have
-        to wait on it.  The copy rides the world's round copy plane, which
-        coalesces every copy signalled in the same tick into one
-        vectorized-priced scatter round.
+        Packs through the world manager's shared arena and charges the
+        local write (keeping the owner-key copy when the backend has
+        one), then hands the blob to the copy plane with this library's
+        holders.  Returns an :class:`Event` that fires with the landing
+        policy's value once every holder (and the PFS, if due) resolved —
+        the application does *not* have to wait on it.  Without a copy
+        plane the write is the synchronous PFS write instead, and the
+        returned event has already fired.
         """
         t0 = self.ctx.now
         data = CheckpointManager.of(self.ctx.world).pack_blob(payload)
         blob = StoredBlob(data=data, nominal_bytes=nominal_bytes or len(data))
-        yield Sleep(blob.nominal_bytes / self.config.local_bandwidth)
-        key = (self.config.tag, self.logical_rank, version)
-        self._local_store_obj.put_pruned(key, blob, self.config.keep_versions)
+        key: Key = (self.config.tag, self.logical_rank, version)
+        landing = self.landing
+        if landing.placement is None:
+            yield from self.pfs.write(key, blob)
+            self.stats[landing.stat] += 1
+        else:
+            yield Sleep(blob.nominal_bytes / self.config.local_bandwidth)
+            if landing.local_copy:
+                self._local_store_obj.put_pruned(key, blob,
+                                                 self.config.keep_versions)
         self.stats["local_writes"] += 1
         tracer = self._tracer
         if tracer.enabled:
             tracer.emit(self.ctx.now, self.ctx.rank, "ckpt_write",
                         dur=self.ctx.now - t0, version=version,
                         bytes=blob.nominal_bytes)
-        mirrored = Event(name=f"ckpt-mirrored-{self.ctx.rank}-v{version}")
-        self._submit_copy(key, blob, mirrored)
-        return mirrored
+        done = Event(name=f"ckpt-{self.ctx.rank}-v{version}")
+        if landing.placement is None:
+            done.succeed(landing.fired(1))
+        else:
+            self._submit_copy(key, blob, done)
+        return done
 
     def _submit_copy(self, key: Key, blob: StoredBlob, done: Event,
                      tally: bool = True) -> None:
-        """Queue the asynchronous neighbor copy (and the PFS copy, every
-        ``pfs_every``-th version) on the world's copy plane."""
+        """Queue the asynchronous copies to the holders (and the PFS copy,
+        every ``pfs_every``-th version) on the world's copy plane."""
         CheckpointManager.of(self.ctx.world).submit(self, key, blob, done,
                                                     tally=tally)
-
-    def shutdown(self) -> None:
-        """Interface parity; the copy plane has no per-library thread."""
 
     # ------------------------------------------------------------------
     # read path
     # ------------------------------------------------------------------
+    def restorable_latest(self, extra_nodes: Sequence[int] = ()) -> int:
+        """Newest version this rank can restore from any source, or -1.
+
+        ``extra_nodes`` are node hints only the neighbor backend's node
+        walk uses (the replica index and the PFS are location-free).
+        """
+        return self.landing.latest(self, extra_nodes)
+
+    def has_local(self, version: int) -> bool:
+        """Whether the version is restorable without the network: on this
+        rank's own node (neighbor), in a live reachable holder's memory
+        (replicated — it keeps no owner-local copy), or on the PFS."""
+        return self.landing.has(
+            self, (self.config.tag, self.logical_rank, version))
+
+    def read_checkpoint(
+        self, version: Optional[int] = None,
+        extra_nodes: Sequence[int] = (),
+        reprotect: bool = True,
+    ) -> Generator[Any, Any, Tuple[int, Dict[str, np.ndarray]]]:
+        """Generator: restore ``(version, payload)`` (default: the newest
+        :meth:`restorable_latest` version).
+
+        The backend's fetch finds the source; the payload is CRC-validated,
+        so the restored bytes equal the committed ones.  Raises
+        :class:`CheckpointNotFound` when no source has the version.  With
+        ``reprotect`` (default) the neighbor and replicated backends
+        re-establish the restored version's protection copies.
+        """
+        if version is None:
+            version = self.restorable_latest(extra_nodes)
+            if version < 0:
+                raise CheckpointNotFound(
+                    f"no {self.config.backend} checkpoint for logical rank "
+                    f"{self.logical_rank}"
+                )
+        key: Key = (self.config.tag, self.logical_rank, version)
+        return (yield from self.landing.fetch(self, key, extra_nodes,
+                                              reprotect, self.ctx.now))
+
+    def _restored(self, key: Key, blob: StoredBlob, source: str,
+                  t0: float) -> Tuple[int, Dict[str, np.ndarray]]:
+        """Restore bookkeeping of every backend: the ``restore`` trace
+        event, the world manager's restore totals and the CRC-checked
+        unpack."""
+        elapsed = self.ctx.now - t0
+        tracer = self._tracer
+        if tracer.enabled:
+            tracer.emit(self.ctx.now, self.ctx.rank, "restore", dur=elapsed,
+                        version=key[2], source=source)
+        manager = CheckpointManager.maybe_of(self.ctx.world)
+        if manager is not None:
+            manager.record_restore(source, blob.nominal_bytes, elapsed)
+        return key[2], unpack_checkpoint(blob.data)
+
+    # -- neighbor: the node walk with PFS fallback -----------------------
     def _candidate_nodes(self, extra_nodes: Sequence[int] = ()) -> List[int]:
         nodes: List[int] = [self.my_node]
         nodes.extend(extra_nodes)
@@ -319,24 +429,19 @@ class CheckpointLib:
             nodes.append(self.neighbor_node)
         return list(dict.fromkeys(nodes))
 
-    def restorable_latest(self, extra_nodes: Sequence[int] = ()) -> int:
-        """Newest version this rank can restore from any source, or -1."""
+    def _nodes_latest(self, extra_nodes: Sequence[int]) -> int:
         best = -1
-        key_rank = self.logical_rank
         for node_id in self._candidate_nodes(extra_nodes):
-            store = self._store_of_node(node_id)
-            latest = store.latest_version(self.config.tag, key_rank)
+            latest = self._store_of_node(node_id).latest_version(
+                self.config.tag, self.logical_rank)
             if latest is not None:
                 best = max(best, latest)
         if self.pfs is not None:
-            latest = self.pfs.latest_version(self.config.tag, key_rank)
-            if latest is not None:
-                best = max(best, latest)
+            best = max(best, self._pfs_latest(extra_nodes))
         return best
 
-    def has_local(self, version: int) -> bool:
-        """Whether this rank's own node holds the version."""
-        return self._local_store_obj.has((self.config.tag, self.logical_rank, version))
+    def _nodes_has(self, key: Key) -> bool:
+        return self._local_store_obj.has(key)
 
     def _reprotect(self, key: Key, blob: StoredBlob):
         """Generator: re-establish local + neighbor copies after a remote
@@ -352,31 +457,14 @@ class CheckpointLib:
         self._submit_copy(key, blob, Event(name=f"reprotect-{self.ctx.rank}"),
                           tally=False)
 
-    def read_checkpoint(
-        self, version: Optional[int] = None,
-        extra_nodes: Sequence[int] = (),
-        reprotect: bool = True,
-    ) -> Generator[Any, Any, Tuple[int, Dict[str, np.ndarray]]]:
-        """Generator: restore ``(version, payload)``.
-
-        Sources are tried in locality order: own node, the ``extra_nodes``
-        the caller knows about (e.g. the failed process's node and its old
-        neighbor), this rank's current neighbor, finally the PFS.  Raises
-        :class:`CheckpointNotFound` when no source has the version.
-
-        With ``reprotect`` (default), a version restored from a *remote*
-        source is immediately written back to the local node and mirrored
-        to the current neighbor, restoring the usual protection level.
+    def _nodes_fetch(self, key: Key, extra_nodes: Sequence[int],
+                     reprotect: bool, t0: float):
+        """Sources in locality order: own node, the ``extra_nodes`` the
+        caller knows about (e.g. the failed process's node and its old
+        neighbor), this rank's current neighbor, finally the PFS.  A
+        version restored from a *remote* source is written back to the
+        local node and mirrored to the current neighbor (``reprotect``).
         """
-        if version is None:
-            version = self.restorable_latest(extra_nodes)
-            if version < 0:
-                raise CheckpointNotFound(
-                    f"no checkpoint for logical rank {self.logical_rank}"
-                )
-        key = (self.config.tag, self.logical_rank, version)
-        t0 = self.ctx.now
-        tracer = self._tracer
         for node_id in self._candidate_nodes(extra_nodes):
             store = self._store_of_node(node_id)
             if not store.has(key):
@@ -386,42 +474,210 @@ class CheckpointLib:
             ):
                 continue
             blob = store.get(key)
-            source = "local" if node_id == self.my_node else "neighbor"
-            if source == "local":
+            if node_id == self.my_node:
+                source = "local"
                 yield Sleep(blob.nominal_bytes / self.config.local_bandwidth)
                 self.stats["local_reads"] += 1
             else:
-                yield Sleep(
-                    self.machine.network.transfer_time(self.my_node, node_id, blob.nominal_bytes)
-                )
+                source = "neighbor"
+                yield Sleep(self.machine.network.transfer_time(
+                    self.my_node, node_id, blob.nominal_bytes))
                 self.stats["remote_reads"] += 1
                 if reprotect:
                     yield from self._reprotect(key, blob)
-            if tracer.enabled:
-                tracer.emit(self.ctx.now, self.ctx.rank, "restore",
-                            dur=self.ctx.now - t0, version=version,
-                            source=source)
-            self._record_restore(source, blob.nominal_bytes,
-                                 self.ctx.now - t0)
-            return version, unpack_checkpoint(blob.data)
-        if self.pfs is not None and self.pfs.has(key):
-            blob = yield from self.pfs.read(key)
-            self.stats["pfs_reads"] += 1
-            if reprotect:
-                yield from self._reprotect(key, blob)
-            if tracer.enabled:
-                tracer.emit(self.ctx.now, self.ctx.rank, "restore",
-                            dur=self.ctx.now - t0, version=version,
-                            source="pfs")
-            self._record_restore("pfs", blob.nominal_bytes, self.ctx.now - t0)
-            return version, unpack_checkpoint(blob.data)
-        raise CheckpointNotFound(f"version {version} unavailable for {key}")
+            return self._restored(key, blob, source, t0)
+        if self.pfs is None or not self.pfs.has(key):
+            raise CheckpointNotFound(f"version {key[2]} unavailable for {key}")
+        blob = yield from self.pfs.read(key)
+        self.stats["pfs_reads"] += 1
+        if reprotect:
+            yield from self._reprotect(key, blob)
+        return self._restored(key, blob, "pfs", t0)
 
-    def _record_restore(self, source: str, nbytes: int, elapsed: float) -> None:
-        """Feed the world manager's per-phase restore totals (if attached)."""
+    # -- replicated: the striped replica fetch ---------------------------
+    def _usable_holders(self, key: Key) -> List[int]:
+        """Recorded holders whose replica of ``key`` is fetchable now:
+        live endpoint, live node actually holding the blob, intact path."""
+        manager = CheckpointManager.of(self.ctx.world)
+        repl_key: Key = (self.landing.prefix + key[0], key[1], key[2])
+        transport = self.ctx.world.transport
+        network = self.machine.network
+        usable: List[int] = []
+        for holder in manager.replica_holders_of(key):
+            if not transport.endpoint(holder).alive:
+                continue
+            node_id = self.machine.node_of(holder)
+            if not self._store_of_node(node_id).has(repl_key):
+                continue
+            if not network.reachable(self._my_node, node_id):
+                continue
+            usable.append(holder)
+        return usable
+
+    def _replicas_latest(self, extra_nodes: Sequence[int]) -> int:
+        """Newest version with at least one fetchable replica, or -1."""
         manager = CheckpointManager.maybe_of(self.ctx.world)
-        if manager is not None:
-            manager.record_restore(source, nbytes, elapsed)
+        if manager is None:
+            return -1
+        versions = manager.replica_versions(self.config.tag,
+                                            self.logical_rank)
+        for version in reversed(versions):
+            if self._usable_holders(
+                (self.config.tag, self.logical_rank, version)
+            ):
+                return version
+        return -1
+
+    def _replicas_has(self, key: Key) -> bool:
+        return bool(self._usable_holders(key))
+
+    def _replicas_fetch(self, key: Key, extra_nodes: Sequence[int],
+                        reprotect: bool, t0: float):
+        """The fetch splits the blob evenly across every usable holder and
+        issues one batched ``read_list`` per holder on the dedicated
+        fetch queue (each priced as its share), then waits once for the
+        whole batch — recovery latency is the *slowest share*, which
+        shrinks as more holders survive.  A holder dying mid-fetch times
+        the wait out; the queue is purged and the fetch retried against
+        the re-filtered survivor set (bounded by the recorded holder
+        count).  Losses beyond the ``r - 1`` tolerance raise
+        :class:`CheckpointNotFound` naming the dead holders; ``reprotect``
+        re-scatters the restored version to the current holder set.
+        """
+        ctx = self.ctx
+        version = key[2]
+        repl_key: Key = (self.landing.prefix + key[0], key[1], key[2])
+        manager = CheckpointManager.of(ctx.world)
+        network = self.machine.network
+        seg_id = self.config.replica_segment
+        recorded = manager.replica_holders_of(key)
+        for _ in range(len(recorded) + 1):
+            usable = self._usable_holders(key)
+            if not usable:
+                transport = ctx.world.transport
+                dead = [h for h in recorded
+                        if not transport.endpoint(h).alive]
+                raise CheckpointNotFound(
+                    f"version {version} for logical rank "
+                    f"{self.logical_rank}: no usable replica among "
+                    f"recorded holders {recorded} (r="
+                    f"{self.config.replication}, dead holders {dead}) — "
+                    f"concurrent losses exceeded the r-1 tolerance"
+                )
+            blob = self._store_of_node(
+                self.machine.node_of(usable[0])).get(repl_key)
+            share = -(-blob.nominal_bytes // len(usable))
+            t_wait = 0.0
+            posted = 0
+            for holder in usable:
+                node_id = self.machine.node_of(holder)
+                t_wait = max(t_wait, network.transfer_time(
+                    self._my_node, node_id, share
+                ))
+                stage = min(len(blob.data), self.lane.seg_size)
+                remote = ctx.world.contexts[holder].segments.find(seg_id)
+                if stage == 0 or remote is None:
+                    continue  # modeled share; its time is in t_wait
+                chunk = max(1, (stage + 7) // 8)
+                entries = []
+                off = 0
+                while off < stage:
+                    n = min(chunk, stage - off)
+                    entries.append((seg_id, off, n, seg_id, off))
+                    off += n
+                ret = ctx.read_list(entries, holder,
+                                    queue_id=self._fetch_queue,
+                                    modeled_bytes=share)
+                if ret is ReturnCode.SUCCESS:
+                    posted += 1
+                # QUEUE_FULL: the share stays modeled, time already in
+                # t_wait (checked before any yield, per FT004)
+            if posted:
+                ret = yield from ctx.wait(self._fetch_queue,
+                                          timeout=t_wait * 1.5 + 1.0)
+                if ret is ReturnCode.TIMEOUT:
+                    # a holder died mid-fetch: purge and retry against
+                    # the re-filtered survivor set
+                    ctx.queue_purge(self._fetch_queue)
+                    continue
+            else:
+                yield Sleep(t_wait)
+            self.stats["replica_reads"] += 1
+            restored = self._restored(key, blob, "replicated", t0)
+            if reprotect:
+                yield Sleep(blob.nominal_bytes / self.config.local_bandwidth)
+                self._submit_copy(
+                    key, blob, Event(name=f"reprotect-{ctx.rank}-v{version}"))
+            return restored
+        raise CheckpointNotFound(
+            f"version {version} unavailable for {key} after retries"
+        )
+
+    # -- pfs: the plain PFS read ----------------------------------------
+    def _pfs_latest(self, extra_nodes: Sequence[int]) -> int:
+        latest = self.pfs.latest_version(self.config.tag, self.logical_rank)
+        return -1 if latest is None else latest
+
+    def _pfs_has(self, key: Key) -> bool:
+        return self.pfs.has(key)
+
+    def _pfs_fetch(self, key: Key, extra_nodes: Sequence[int],
+                   reprotect: bool, t0: float):
+        """The PFS copy *is* the protection: nothing to re-establish."""
+        if not self.pfs.has(key):
+            raise CheckpointNotFound(f"version {key[2]} unavailable on PFS")
+        blob = yield from self.pfs.read(key)
+        self.stats["pfs_reads"] += 1
+        return self._restored(key, blob, "pfs", t0)
+
+
+#: the paper's neighbor mirror: one holder, an owner-local copy too, the
+#: owner key, fires a bool; the node walk finds it
+MIRROR = LandingPolicy(placement=mirror_holder_map,
+                       segment="mirror_segment", local_copy=True,
+                       fetch_queue=False,
+                       prefix="", holder_process=False,
+                       stat="neighbor_copies", failed_stat=None,
+                       event="ckpt_mirror",
+                       totals=("mirror_ops", "mirror_bytes", "mirror_s"),
+                       fired=bool,
+                       pfs_duty=True,
+                       latest=CheckpointLib._nodes_latest,
+                       has=CheckpointLib._nodes_has,
+                       fetch=CheckpointLib._nodes_fetch)
+#: ReStore replicas: ``r`` holders and no owner-local copy, ``"repl:"``
+#: keys in the location index, fires the landed-copy count; the PFS is
+#: never touched
+REPLICA = LandingPolicy(placement=replica_holder_map,
+                        segment="replica_segment", local_copy=False,
+                        fetch_queue=True,
+                        prefix="repl:", holder_process=True,
+                        stat="replica_copies", failed_stat="failed_copies",
+                        event="ckpt_scatter",
+                        totals=("scatter_ops", "scatter_bytes", "scatter_s"),
+                        fired=int,
+                        pfs_duty=False,
+                        latest=CheckpointLib._replicas_latest,
+                        has=CheckpointLib._replicas_has,
+                        fetch=CheckpointLib._replicas_fetch)
+#: the classical baseline: no copy plane, every write a synchronous
+#: (contended) PFS write, every restore a PFS read; fires ``True``
+PFS = LandingPolicy(placement=None, segment="", local_copy=False,
+                    fetch_queue=False,
+                    prefix="", holder_process=False,
+                    stat="pfs_copies", failed_stat=None,
+                    event=None, totals=None,
+                    fired=bool,
+                    pfs_duty=False,
+                    latest=CheckpointLib._pfs_latest,
+                    has=CheckpointLib._pfs_has,
+                    fetch=CheckpointLib._pfs_fetch)
+
+#: :attr:`CheckpointConfig.backend` -> its row, in reporting order
+BACKEND_TABLE: Dict[str, LandingPolicy] = {
+    "neighbor": MIRROR, "pfs": PFS, "replicated": REPLICA}
+#: valid values of :attr:`CheckpointConfig.backend` (see ``CHECKPOINTS.md``)
+BACKENDS = tuple(BACKEND_TABLE)
 
 
 @dataclass(slots=True)
@@ -433,7 +689,7 @@ class _CopyRequest:
     """
 
     manager: "CheckpointManager"
-    lib: Any  # CheckpointLib or ReplicatedCheckpointLib (duck-typed)
+    lib: CheckpointLib
     key: Key
     blob: StoredBlob
     done: Event
@@ -536,12 +792,9 @@ class CheckpointManager:
         #: requests accumulated in the current tick, flushed as one round
         self._pending: List[_CopyRequest] = []
         self._sealed = False
-        #: participant-tuple -> {rank: neighbor} map cache (tiny LRU; a
-        #: run only ever sees a handful of participant sets)
-        self._neighbor_maps: "OrderedDict[Tuple[int, ...], Dict[int, Optional[int]]]" = OrderedDict()
-        #: (participant-tuple, r) -> {rank: [holders]} placement cache for
-        #: the replicated backend (same tiny-LRU policy)
-        self._replica_maps: "OrderedDict[Tuple[Tuple[int, ...], int], Dict[int, List[int]]]" = OrderedDict()
+        #: (placement, participant-tuple, r) -> {rank: [holders]} cache
+        #: (tiny LRU; a run only ever sees a handful of participant sets)
+        self._holder_maps: "OrderedDict[Tuple[Placement, Tuple[int, ...], int], Dict[int, List[int]]]" = OrderedDict()
         #: replica location index: where each replicated checkpoint
         #: *actually* landed (keys are the un-namespaced ``(tag, logical,
         #: version)``).  Reads consult this instead of re-deriving
@@ -624,47 +877,25 @@ class CheckpointManager:
         return out
 
     # ------------------------------------------------------------------
-    # placement map caches
+    # placement map cache
     # ------------------------------------------------------------------
-    def neighbor_map_for(
-        self, participants: Tuple[int, ...]
-    ) -> Dict[int, Optional[int]]:
-        """The full mirror-partner map of a (sorted) participant set.
-
-        Built once per distinct set with the O(n) vectorized kernel; each
-        entry equals ``neighbor_of(rank, participants, node_of)``.
-        """
-        cached = self._neighbor_maps.get(participants)
-        if cached is None:
-            cached = neighbor_map(participants, self.machine.node_of)
-            self._neighbor_maps[participants] = cached
-            while len(self._neighbor_maps) > 8:
-                self._neighbor_maps.popitem(last=False)
-        else:
-            self._neighbor_maps.move_to_end(participants)
-        return cached
-
-    def replica_map_for(
-        self, participants: Tuple[int, ...], r: int
+    def holder_map_for(
+        self, placement: Placement, participants: Tuple[int, ...], r: int
     ) -> Dict[int, List[int]]:
-        """The full replica-holder map of a (sorted) participant set.
+        """One backend's full holder map of a (sorted) participant set.
 
-        Built once per distinct ``(set, r)`` with the vectorized placement
-        kernel (no holder on the owner's node or its mirror neighbor's
-        node — see ``CHECKPOINTS.md``).
+        Built once per distinct ``(placement, set, r)`` with the
+        placement's vectorized kernel (see ``CHECKPOINTS.md``).
         """
-        # local import: replicated.py imports this module at its top level
-        from repro.checkpoint.replicated import replica_holder_map
-
-        cache_key = (participants, r)
-        cached = self._replica_maps.get(cache_key)
+        cache_key = (placement, participants, r)
+        cached = self._holder_maps.get(cache_key)
         if cached is None:
-            cached = replica_holder_map(participants, self.machine.node_of, r)
-            self._replica_maps[cache_key] = cached
-            while len(self._replica_maps) > 8:
-                self._replica_maps.popitem(last=False)
+            cached = placement(participants, self.machine.node_of, r)
+            self._holder_maps[cache_key] = cached
+            while len(self._holder_maps) > 8:
+                self._holder_maps.popitem(last=False)
         else:
-            self._replica_maps.move_to_end(cache_key)
+            self._holder_maps.move_to_end(cache_key)
         return cached
 
     def _store(self, node_id: int) -> NodeLocalStore:

@@ -137,7 +137,7 @@ class FaultInjector:
             tracer = self.sim.tracer
             if tracer.enabled:
                 # rank attribution must be read before the kill lands
-                for rank in _affected_ranks(event, self.machine):
+                for rank in affected_ranks(event, self.machine):
                     tracer.emit(self.sim.now, rank, "failure_injected",
                                 kind=type(event).__name__)
             event.apply(self.machine)
@@ -148,7 +148,7 @@ class FaultInjector:
         return thunk
 
 
-def _affected_ranks(event: FaultEvent, machine: "Machine") -> List[int]:
+def affected_ranks(event: FaultEvent, machine: "Machine") -> List[int]:
     """Ranks a fault event fail-stops (``[-1]`` for link events)."""
     if isinstance(event, KillProcess):
         return [event.rank]

@@ -6,7 +6,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster import FaultPlan, MachineSpec, TransportParams
-from repro.checkpoint.manager import CheckpointConfig, CheckpointManager
+from repro.checkpoint.manager import (
+    BACKEND_TABLE,
+    PFS,
+    CheckpointConfig,
+    CheckpointManager,
+)
 from repro.checkpoint.pfs import ParallelFileSystem
 from repro.gaspi.config import GaspiConfig
 from repro.ft import FTConfig
@@ -146,7 +151,7 @@ def run_ft_scenario(
         injects.append(t)
     horizon = until or (spec.setup_time + spec.baseline_runtime) * 4 + 600
     # the pfs backend (and pfs_every mirroring) needs an actual PFS model
-    needs_pfs = (cfg.checkpoint.backend == "pfs"
+    needs_pfs = (BACKEND_TABLE.get(cfg.checkpoint.backend) is PFS
                  or cfg.checkpoint.pfs_every > 0)
     result = run_ft_application(
         cfg, ModelLanczosProgram(spec),

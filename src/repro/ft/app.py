@@ -28,7 +28,7 @@ from repro.gaspi.constants import GASPI_BLOCK, AllreduceOp, ReturnCode
 from repro.gaspi.context import GaspiContext
 from repro.gaspi.runtime import GaspiRun, run_gaspi
 from repro.checkpoint.pfs import ParallelFileSystem
-from repro.checkpoint.replicated import CheckpointBackend, make_checkpoint_lib
+from repro.checkpoint.manager import CheckpointLib
 from repro.spmvm.ft_hooks import CommGuard, FailureAcknowledged
 from repro.spmvm.team import Team
 from repro.ft import rankstate
@@ -47,8 +47,8 @@ class FTContext:
 
     def __init__(self, ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
                  team: Team, epoch: int, extra_nodes: List[int],
-                 state_ckpt: CheckpointBackend,
-                 setup_ckpt: CheckpointBackend) -> None:
+                 state_ckpt: CheckpointLib,
+                 setup_ckpt: CheckpointLib) -> None:
         self.ctx = ctx
         self.cfg = cfg
         self.block = block
@@ -80,12 +80,10 @@ class FTContext:
             state_cfg = dataclasses.replace(cfg.checkpoint, tag="state")
             setup_cfg = dataclasses.replace(cfg.checkpoint, tag="setup",
                                             keep_versions=1, pfs_every=0)
-            state_ckpt = make_checkpoint_lib(ctx, team.logical_rank,
-                                             participants, config=state_cfg,
-                                             pfs=pfs)
-            setup_ckpt = make_checkpoint_lib(ctx, team.logical_rank,
-                                             participants, config=setup_cfg,
-                                             pfs=pfs)
+            state_ckpt = CheckpointLib(ctx, team.logical_rank, participants,
+                                       config=state_cfg, pfs=pfs)
+            setup_ckpt = CheckpointLib(ctx, team.logical_rank, participants,
+                                       config=setup_cfg, pfs=pfs)
         merged_extra = set(extra_nodes)
         if old is not None:
             merged_extra |= set(old.extra_nodes)  # keep known data sources
@@ -106,10 +104,6 @@ class FTContext:
     def mark(self, label: str, **info: Any) -> None:
         """Record a timeline event (read back by the benchmarks)."""
         self.timeline.append((self.now, label, info))
-
-    def shutdown(self) -> None:
-        self.state_ckpt.shutdown()
-        self.setup_ckpt.shutdown()
 
     # ------------------------------------------------------------------
     # checkpoint services
@@ -295,7 +289,6 @@ def worker_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
                 if ret is ReturnCode.SUCCESS:
                     break
             yield from _announce_done(ctx, cfg, block)
-            ftx.shutdown()
             return {
                 "status": "done",
                 "logical_rank": ftx.team.logical_rank,
@@ -309,7 +302,6 @@ def worker_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
             ftx.mark("failure-ack", epoch=notice.epoch, failed=notice.failed)
             if not notice.recoverable:
                 yield from _announce_done(ctx, cfg, block)
-                ftx.shutdown()
                 return {
                     "status": "unrecoverable",
                     "logical_rank": ftx.team.logical_rank,

@@ -196,7 +196,7 @@ def replica_ring_holders(ring_nodes: np.ndarray, r: int) -> np.ndarray:
     positions after ``i`` (cyclically) on nodes distinct from each
     other, from ``i``'s own node and from ``i``'s mirror neighbor's
     node — the ReStore-style placement rule of
-    :mod:`repro.checkpoint.replicated`.
+    :mod:`repro.checkpoint.neighbor`.
 
     Fast path: with every ring position on its own node (the paper's
     one-rank-per-node testbed) and ``n >= r + 2``, the eligible

@@ -25,7 +25,7 @@ success, and restore/rollback happen after re-initialisation.  The
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .tracer import (BROADCAST_FLAGS, DETECTION, FAILURE_INJECTED,
                      GROUP_REBUILD, RESTORE, ROLLBACK, SPARE_PROMOTE,
@@ -110,6 +110,24 @@ class FailureRecord:
         return all(v is None or v >= -1e-9 for v in self.phases().values())
 
 
+def served_injection(failed: Iterable[int],
+                     injected: Mapping[int, Sequence[float]],
+                     t_detected: float) -> Optional[float]:
+    """The injection a detection at ``t_detected`` of ``failed`` caught.
+
+    For each failed rank, its latest injection at or before detection
+    (``injected`` maps a rank to its ascending injection times); the
+    result is the earliest of those — the first unserved fault — or
+    ``None`` when no failed rank has a known injection.
+    """
+    times: List[float] = []
+    for rank in failed:
+        cands = [t for t in injected.get(rank, ()) if t <= t_detected + 1e-9]
+        if cands:
+            times.append(cands[-1])
+    return min(times) if times else None
+
+
 def build_timelines(events: Iterable[TraceEvent],
                     scenario: str = "") -> List[FailureRecord]:
     """Reconstruct one :class:`FailureRecord` per detected failure epoch."""
@@ -129,15 +147,7 @@ def build_timelines(events: Iterable[TraceEvent],
             rec.failed = tuple(fields.get("failed", ()))
             rec.rescues = tuple(fields.get("rescues", ()))
             rec.t_detected = ev.t
-            # the failure this scan caught: for each failed rank, the
-            # latest injection at or before detection; the record's
-            # t_injected is the earliest of those (first unserved fault)
-            times = []
-            for rank in rec.failed:
-                cands = [t for t in injected.get(rank, ()) if t <= ev.t + 1e-9]
-                if cands:
-                    times.append(cands[-1])
-            rec.t_injected = min(times) if times else None
+            rec.t_injected = served_injection(rec.failed, injected, ev.t)
             continue
 
         epoch = fields.get("epoch")

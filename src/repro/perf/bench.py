@@ -639,8 +639,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    width = max(len(k) for k in metrics)
+    width = max((len(k) for k in metrics), default=0)
     print(f"# {section} {'vs' if args.check else '->'} {args.out}")
+    if not metrics:
+        print("(no rung comparable with the committed metrics ran)")
     for key, value in metrics.items():
         if value is None:
             print(f"{key:<{width}}  {'null (not measurable here)':>14}")

@@ -214,8 +214,6 @@ def bench_ckpt_mirror_us_per_rank(n_ranks: int = REFERENCE_RANKS,
         yield Sleep(period / 2)
         marks.append(time.perf_counter())
         wall[0] = min(b - a for a, b in zip(marks, marks[1:]))
-        for lib in libs.values():
-            lib.shutdown()
 
     _run_gc_paused(main, n_ranks)
     return wall[0] / n_ranks * 1e6
@@ -242,7 +240,7 @@ def bench_ckpt_replicated_restore_us_per_rank(
     """
     import numpy as np
 
-    from repro.checkpoint import CheckpointConfig, ReplicatedCheckpointLib
+    from repro.checkpoint import CheckpointConfig, CheckpointLib
     from repro.sim import Sleep, WaitEvent
 
     if rounds is None:
@@ -254,7 +252,7 @@ def bench_ckpt_replicated_restore_us_per_rank(
     wall = [0.0]
 
     def main(ctx):
-        lib = ReplicatedCheckpointLib(
+        lib = CheckpointLib(
             ctx, ctx.rank, range(n_ranks),
             config=CheckpointConfig(backend="replicated", tag="bench"),
         )
@@ -275,7 +273,6 @@ def bench_ckpt_replicated_restore_us_per_rank(
             yield Sleep(period / 2)
             marks.append(time.perf_counter())
             wall[0] = min(b - a for a, b in zip(marks, marks[1:]))
-        lib.shutdown()
 
     _run_gc_paused(main, n_ranks)
     return wall[0] / n_ranks * 1e6
@@ -427,38 +424,28 @@ def run_scaling(ranks: Sequence[int] = RANKS_LADDER,
 def summary_metrics(scaling: Dict[str, object]) -> Dict[str, float]:
     """The flat ``BENCH_core.json`` metrics from one ladder run.
 
-    The per-rank kernel metrics are reported at the reference scale
-    (256 ranks, the paper's node count) or, failing that, the largest
-    measured rung.
+    Only numbers comparable with the committed ones are reported: the
+    per-rank kernel metrics when the reference rung (256 ranks, the
+    paper's node count) ran, and the construction metrics and
+    ``ranks_max_at_60s`` when the ladder reached the top of
+    :data:`RANKS_LADDER` — the rung the flyweight world-build work
+    exists for.  A shorter ladder (``--ranks 8``) reports none of them,
+    so merging its result leaves the committed values alone.
     """
-    def at_reference(table: Dict[str, float]) -> float:
-        key = str(REFERENCE_RANKS)
-        if key in table:
-            return table[key]
-        return table[max(table, key=int)]
-
-    fd_scan = scaling["fd_scan_us_per_rank"]
-    rebuild = scaling["group_rebuild_us_per_rank"]
-    ckpt_mirror = scaling["ckpt_mirror_us_per_rank"]
-    ckpt_replicated = scaling.get("ckpt_replicated_restore_us_per_rank", {})
-    assert (isinstance(fd_scan, dict) and isinstance(rebuild, dict)
-            and isinstance(ckpt_mirror, dict)
-            and isinstance(ckpt_replicated, dict))
-    out = {
-        "fd_scan_us_per_rank": at_reference(fd_scan),
-        "group_rebuild_us_per_rank": at_reference(rebuild),
-        "ckpt_mirror_us_per_rank": at_reference(ckpt_mirror),
-    }
-    if ckpt_replicated:
-        out["ckpt_replicated_restore_us_per_rank"] = at_reference(
-            ckpt_replicated)
-    # construction metrics are reported at the ladder *top* — the rung
-    # the flyweight world-build work exists for, not the reference scale
-    for key in ("world_build_s", "world_peak_mb"):
+    reference, top = str(REFERENCE_RANKS), str(RANKS_LADDER[-1])
+    out: Dict[str, float] = {}
+    for key, rung in (("fd_scan_us_per_rank", reference),
+                      ("group_rebuild_us_per_rank", reference),
+                      ("ckpt_mirror_us_per_rank", reference),
+                      ("ckpt_replicated_restore_us_per_rank", reference),
+                      ("world_build_s", top), ("world_peak_mb", top)):
         table = scaling.get(key, {})
-        if isinstance(table, dict) and table:
-            out[key] = table[max(table, key=int)]
-    if scaling.get("scenario_wall_s"):
+        assert isinstance(table, dict)
+        if rung in table:
+            out[key] = table[rung]
+    ranks = scaling.get("ranks", ())
+    assert isinstance(ranks, (list, tuple))
+    if scaling.get("scenario_wall_s") and RANKS_LADDER[-1] in ranks:
         out["ranks_max_at_60s"] = float(scaling["ranks_max_at_60s"])
     return out
 
@@ -475,12 +462,10 @@ def _smoke_outcome(workers: int, backend: str = "neighbor",
 
     spec = scaled_spec(workers=workers, iterations=ITERATIONS,
                        name=f"smoke-{workers}")
-    overrides = {}
-    if backend != "neighbor":
-        overrides["checkpoint"] = CheckpointConfig(
-            backend=backend, replication=replication)
-    outcome = run_ft_scenario(f"weak-{workers}", spec, kill_times=[KILL],
-                              n_spares=N_SPARES, **overrides)
+    outcome = run_ft_scenario(
+        f"weak-{workers}", spec, kill_times=[KILL], n_spares=N_SPARES,
+        checkpoint=CheckpointConfig(backend=backend,
+                                    replication=replication))
     outcome.result = None
     return outcome
 

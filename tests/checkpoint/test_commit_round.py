@@ -131,8 +131,6 @@ def run_commit_round(n_ranks, sizes, n_rounds, nominal, kills,
                     lambda fired_ev, r=r, k=k:
                     fires.setdefault((r, k), (sim.now, fired_ev.value)))
         yield Sleep(DRAIN_S)
-        for lib in libs.values():
-            lib.shutdown()
 
     run = run_gaspi(main, n_ranks=n_ranks, machine_spec=machine_spec,
                     fault_plan=_build_plan(kills))

@@ -5,16 +5,17 @@ import pytest
 
 from repro.cluster import FaultPlan
 from repro.checkpoint import (
+    BACKENDS,
     CheckpointConfig,
     CheckpointLib,
     CheckpointManager,
     CheckpointNotFound,
     NodeLocalStore,
     ParallelFileSystem,
-    make_checkpoint_lib,
 )
 from repro.gaspi import run_gaspi
-from repro.sim import Sleep, WaitEvent
+from repro.obs import tracer as obs_tracer
+from repro.sim import Simulator, Sleep, WaitEvent
 
 
 def test_write_then_local_restore():
@@ -24,7 +25,6 @@ def test_write_then_local_restore():
         mirrored = yield from lib.write_checkpoint(0, payload)
         yield WaitEvent(mirrored, 10.0)
         version, out = yield from lib.read_checkpoint()
-        lib.shutdown()
         return (version, list(out["v"]), int(out["it"]))
 
     run = run_gaspi(main, n_ranks=2)
@@ -37,7 +37,6 @@ def test_neighbor_copy_lands_on_other_node():
         lib = CheckpointLib(ctx, logical_rank=ctx.rank, participants=[0, 1, 2])
         mirrored = yield from lib.write_checkpoint(0, {"x": np.ones(8)})
         ok, copied = yield WaitEvent(mirrored, 10.0)
-        lib.shutdown()
         return (ok, copied, lib.neighbor_rank, lib.stats["neighbor_copies"])
 
     run = run_gaspi(main, n_ranks=3)
@@ -63,7 +62,6 @@ def test_restore_from_neighbor_after_node_loss():
             lib = CheckpointLib(ctx, logical_rank=1, participants=[0, 1, 2])
             mirrored = yield from lib.write_checkpoint(0, {"x": np.full(4, 7.0)})
             yield WaitEvent(mirrored, 10.0)
-            lib.shutdown()
             yield Sleep(100.0)  # stays up until killed at t=20
             return None
         if ctx.rank == 3:  # the rescue: adopts logical rank 1 after failure
@@ -71,7 +69,6 @@ def test_restore_from_neighbor_after_node_loss():
             lib = CheckpointLib(ctx, logical_rank=1, participants=[0, 2, 3])
             # candidates: failed rank's node (1, dead) and its old neighbor (2)
             version, out = yield from lib.read_checkpoint(extra_nodes=[1, 2])
-            lib.shutdown()
             return (version, float(out["x"][0]), lib.stats["remote_reads"])
         yield Sleep(40.0)
         return None
@@ -88,7 +85,6 @@ def test_restore_prefers_local_after_process_only_failure():
         if ctx.rank == 0:
             lib = CheckpointLib(ctx, logical_rank=0, participants=[0, 1])
             yield from lib.write_checkpoint(0, {"x": np.arange(3.0)})
-            lib.shutdown()
             yield Sleep(100.0)
             return None
         # rank 1 plays "rescue restarted on the failed process's node 0"?
@@ -96,7 +92,6 @@ def test_restore_prefers_local_after_process_only_failure():
         yield Sleep(10.0)
         lib = CheckpointLib(ctx, logical_rank=0, participants=[1])
         version, out = yield from lib.read_checkpoint(extra_nodes=[0])
-        lib.shutdown()
         return (version, list(out["x"]))
 
     plan = FaultPlan().kill_process(5.0, 0)
@@ -116,9 +111,7 @@ def test_version_pruning_keeps_last_k():
             from repro.checkpoint import NodeLocalStore
             store = NodeLocalStore(ctx.world.machine.node(0))
             versions = store.versions("ckpt", 0)
-            lib.shutdown()
             return versions
-        lib.shutdown()
         if False:
             yield
 
@@ -130,7 +123,6 @@ def test_restorable_latest_reports_minus_one_when_empty():
     def main(ctx):
         lib = CheckpointLib(ctx, logical_rank=0, participants=[0])
         latest = lib.restorable_latest()
-        lib.shutdown()
         if False:
             yield
         return latest
@@ -145,7 +137,6 @@ def test_read_missing_version_raises():
         try:
             yield from lib.read_checkpoint(version=9)
         except CheckpointNotFound:
-            lib.shutdown()
             return "not-found"
 
     run = run_gaspi(main, n_ranks=1)
@@ -163,10 +154,8 @@ def test_pfs_copies_every_kth_version():
             for v in range(4):
                 last = yield from lib.write_checkpoint(v, {"x": np.array([v])})
             yield WaitEvent(last, 10.0)
-            lib.shutdown()
             return (lib.stats["pfs_copies"], pfs.has(("ckpt", 0, 0)),
                     pfs.has(("ckpt", 0, 1)), pfs.has(("ckpt", 0, 2)))
-        lib.shutdown()
         if False:
             yield
 
@@ -180,7 +169,6 @@ def test_refresh_changes_neighbor_after_failure():
         before = lib.neighbor_rank
         lib.refresh([0, 2, 3])  # rank 1 failed and left the ring
         after = lib.neighbor_rank
-        lib.shutdown()
         if False:
             yield
         return (before, after)
@@ -196,7 +184,6 @@ def test_checkpoint_write_cost_scales_with_nominal_bytes():
         lib.config = cfg
         t0 = ctx.now
         yield from lib.write_checkpoint(0, {"x": np.zeros(2)}, nominal_bytes=10**9)
-        lib.shutdown()
         return ctx.now - t0
 
     run = run_gaspi(main, n_ranks=1)
@@ -221,29 +208,76 @@ def test_staging_buffer_reused_and_old_versions_stay_intact():
         grew = len(manager._arena) >= 128 * 8
         _, v0 = yield from lib.read_checkpoint(version=0)
         _, v2 = yield from lib.read_checkpoint(version=2)
-        lib.shutdown()
         return (same_buffer, grew, float(v0["x"][0]), float(v2["x"][0]))
 
     run = run_gaspi(main, n_ranks=1)
     assert run.result(0) == (True, True, 1.0, 3.0)
 
 
-@pytest.mark.parametrize("backend", ["neighbor", "replicated"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_no_library_launches_a_helper_process(backend):
-    """Every asynchronous copy rides the world's copy plane: a rank runs
-    its main program and nothing else."""
+    """Every asynchronous copy rides the world's copy plane (and the PFS
+    backend has none): a rank runs its main program and nothing else."""
+    sim = Simulator()
+    pfs = ParallelFileSystem(sim)
 
     def main(ctx):
-        lib = make_checkpoint_lib(ctx, ctx.rank, range(4),
-                                  config=CheckpointConfig(backend=backend))
+        lib = CheckpointLib(ctx, ctx.rank, range(4),
+                            config=CheckpointConfig(backend=backend), pfs=pfs)
         done = yield from lib.write_checkpoint(0, {"x": np.ones(4)})
         ok, landed = yield WaitEvent(done, 10.0)
         return ok and bool(landed)
 
-    run = run_gaspi(main, n_ranks=4)
+    run = run_gaspi(main, n_ranks=4, sim=sim)
     assert all(run.result(r) for r in range(4))
     assert sorted(p.name for p in run.sim.processes) == [
         f"rank{r}" for r in range(4)]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_round_trip_on_every_backend(backend):
+    """Each backend row end to end: write, ``restorable_latest``,
+    ``has_local``, then ``read_checkpoint`` returns the payload, and the
+    ``restore`` trace event names the backend's source."""
+    source = {"neighbor": "local", "pfs": "pfs", "replicated": "replicated"}
+    sim = Simulator()
+    pfs = ParallelFileSystem(sim)
+
+    def main(ctx):
+        lib = CheckpointLib(ctx, ctx.rank, range(4),
+                            config=CheckpointConfig(backend=backend), pfs=pfs)
+        done = yield from lib.write_checkpoint(
+            0, {"v": np.arange(4.0) + ctx.rank})
+        yield WaitEvent(done, 10.0)
+        latest, local = lib.restorable_latest(), lib.has_local(0)
+        version, out = yield from lib.read_checkpoint()
+        return latest, local, version, list(out["v"])
+
+    tracer = obs_tracer.install()
+    try:
+        run = run_gaspi(main, n_ranks=4, sim=sim)
+    finally:
+        obs_tracer.deactivate()
+    for r in range(4):
+        assert run.result(r) == (0, True, 0, [r + 0.0, r + 1.0, r + 2.0,
+                                              r + 3.0])
+    restores = [e for e in tracer.events() if e.etype == "restore"]
+    assert sorted(e.rank for e in restores) == [0, 1, 2, 3]
+    assert {e.fields["source"] for e in restores} == {source[backend]}
+
+
+def test_constructor_rejects_unknown_backend_and_pfs_without_filesystem():
+    def main(ctx):
+        with pytest.raises(ValueError, match="unknown checkpoint backend"):
+            CheckpointLib(ctx, ctx.rank, [0, 1],
+                          config=CheckpointConfig(backend="nfs"))
+        with pytest.raises(ValueError, match="requires a ParallelFileSystem"):
+            CheckpointLib(ctx, ctx.rank, [0, 1],
+                          config=CheckpointConfig(backend="pfs"))
+        return None
+        yield  # pragma: no cover - makes main a generator
+
+    run_gaspi(main, n_ranks=2)
 
 
 def _holder(ctx):

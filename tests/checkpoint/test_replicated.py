@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 
 from repro.checkpoint import (
     CheckpointConfig,
+    CheckpointLib,
     CheckpointNotFound,
-    ReplicatedCheckpointLib,
-    make_checkpoint_lib,
     replica_holder_map,
 )
 from repro.cluster import FaultPlan
@@ -113,8 +112,7 @@ def _lose_and_recover(k):
 
     def main(ctx):
         if ctx.rank == 0:
-            lib = ReplicatedCheckpointLib(ctx, 0, range(N_RANKS),
-                                          config=cfg)
+            lib = CheckpointLib(ctx, 0, range(N_RANKS), config=cfg)
             protected = yield from lib.write_checkpoint(0, payload)
             ok, landed = yield WaitEvent(protected, 10.0)
             out["landed"] = (ok, landed)
@@ -122,7 +120,7 @@ def _lose_and_recover(k):
             return None
         if ctx.rank == N_RANKS - 1:
             yield Sleep(30.0)  # after the kills
-            lib = ReplicatedCheckpointLib(ctx, 0, survivors, config=cfg)
+            lib = CheckpointLib(ctx, 0, survivors, config=cfg)
             try:
                 version, restored = yield from lib.read_checkpoint()
             except CheckpointNotFound:
@@ -176,22 +174,8 @@ def test_owner_death_alone_loses_nothing():
 
 
 # ----------------------------------------------------------------------
-# factory + mode identity
+# mode identity
 # ----------------------------------------------------------------------
-def test_factory_dispatch_and_unknown_backend():
-    def main(ctx):
-        cfg = CheckpointConfig(backend="replicated")
-        lib = make_checkpoint_lib(ctx, ctx.rank, [0, 1], config=cfg)
-        assert isinstance(lib, ReplicatedCheckpointLib)
-        with pytest.raises(ValueError, match="unknown checkpoint backend"):
-            make_checkpoint_lib(ctx, ctx.rank, [0, 1],
-                                config=CheckpointConfig(backend="nfs"))
-        return None
-        yield  # pragma: no cover - makes main a generator
-
-    run_gaspi(main, n_ranks=2)
-
-
 def test_experiment_rows_identical_across_rankstate_modes():
     """The 16-rank replicated-backend scenario measures identically on
     the vectorized kernels and on the scalar oracle: the fast path

@@ -30,24 +30,39 @@ def test_run_scaling_structure_without_scenarios():
     assert out["skipped"] == []
 
 
-def test_summary_metrics_pick_reference_or_largest():
-    table = {"16": 4.0, "256": 2.0, "1024": 1.0}
+def test_summary_metrics_report_only_comparable_rungs():
+    top = scaling.RANKS_LADDER[-1]
     out = scaling.summary_metrics({
-        "fd_scan_us_per_rank": table,
+        "ranks": [16, 64, 256, top],
+        "fd_scan_us_per_rank": {"16": 4.0, "256": 2.0, str(top): 1.0},
         "group_rebuild_us_per_rank": {"16": 8.0, "64": 6.0},
         "ckpt_mirror_us_per_rank": {"16": 40.0, "256": 20.0},
         "scenario_wall_s": {"16": 0.1},
         "ranks_max_at_60s": 64,
-        "world_build_s": {"16": 0.001, "1024": 0.03},
-        "world_peak_mb": {"16": 0.02, "1024": 1.2},
+        "world_build_s": {"16": 0.001, str(top): 0.03},
+        "world_peak_mb": {"16": 0.02, str(top): 1.2},
     })
     assert out["fd_scan_us_per_rank"] == 2.0      # the 256-rank reference
-    assert out["group_rebuild_us_per_rank"] == 6.0  # largest measured rung
     assert out["ckpt_mirror_us_per_rank"] == 20.0  # the 256-rank reference
+    # no 256-rank rung: a smaller rung is not comparable, so no value
+    assert "group_rebuild_us_per_rank" not in out
+    assert "ckpt_replicated_restore_us_per_rank" not in out
+    # the ladder reached its top: construction metrics surface there
     assert out["ranks_max_at_60s"] == 64.0
-    # construction metrics surface at the ladder *top*, not the reference
     assert out["world_build_s"] == 0.03
     assert out["world_peak_mb"] == 1.2
+    # a short ladder reports nothing a merge could clobber
+    assert scaling.summary_metrics({
+        "ranks": [8],
+        "fd_scan_us_per_rank": {"8": 3.0},
+        "group_rebuild_us_per_rank": {"8": 3.0},
+        "ckpt_mirror_us_per_rank": {"8": 3.0},
+        "ckpt_replicated_restore_us_per_rank": {"8": 3.0},
+        "world_build_s": {"8": 0.001},
+        "world_peak_mb": {"8": 0.02},
+        "scenario_wall_s": {"8": 0.1},
+        "ranks_max_at_60s": 8,
+    }) == {}
 
 
 def test_scaling_metrics_are_tracked_lower_is_better():

@@ -90,3 +90,21 @@ class TestRecoveryReport:
     def test_failure_free_report(self, clean_run):
         assert recovery_report(clean_run) == "failure-free run: no recoveries"
         assert recovery_epochs(clean_run) == []
+
+
+def test_epochs_match_detections_to_their_own_injections():
+    """Two ranks killed together, a third later: the second FD epoch
+    reports the later kill, not the second injection in time order."""
+    spec = scaled_spec(workers=6, iterations=160, name="analysis-overlap")
+    cfg = ft_config_for(spec, n_spares=4)
+    plan = (FaultPlan().kill_process(30.0, 1).kill_process(30.0, 2)
+            .kill_process(80.0, 3))
+    result = run_ft_application(
+        cfg, ModelLanczosProgram(spec), machine_spec=machine_for(cfg),
+        fault_plan=plan, until=900.0,
+    )
+    first, second = recovery_epochs(result)
+    assert (first.failed, first.t_inject) == ((1, 2), 30.0)
+    assert (second.failed, second.t_inject) == ((3,), 80.0)
+    assert 0 < first.detection_latency < 8
+    assert 0 < second.detection_latency < 8

@@ -22,7 +22,7 @@ SMOKE_ARGS = {
     "figure4": ["--scale", "tiny"],
     "table1": ["--nodes", "8", "--runs", "1"],
     "ablations": ["--which", "commit"],
-    "compare": ["--sizes", "8", "--backend", "neighbor"],
+    "compare": ["--sizes", "8", "--backend", "all"],
     "trace": ["figure4", "--quick", "--out", "trace-out"],
     "bench": ["--world-build", "16"],
 }
@@ -60,3 +60,11 @@ def test_bench_scaling_refreshes_current_and_keeps_seed(tmp_path,
     assert frozen(after) == frozen(before)
     assert after["scaling"]["current"]["ranks"] == [8]
     assert after["current"]["environment"] is not None
+    # an 8-rank ladder measures no comparable rung: the committed
+    # current values of the scaling metrics stay byte-equal
+    for key in ("fd_scan_us_per_rank", "group_rebuild_us_per_rank",
+                "ckpt_mirror_us_per_rank",
+                "ckpt_replicated_restore_us_per_rank", "world_build_s",
+                "world_peak_mb", "ranks_max_at_60s"):
+        assert (json.dumps(after["current"].get(key))
+                == json.dumps(before["current"].get(key))), key
