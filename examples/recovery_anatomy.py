@@ -1,26 +1,23 @@
 #!/usr/bin/env python
-"""Anatomy of a recovery: timeline, cost report and capacity planning.
+"""Anatomy of a recovery: lifecycle trace, cost report and capacity planning.
 
-Runs a paper-scale (model-kernel) job with two injected failures, then
-uses `repro.analysis` to dissect what happened — the unified event
-timeline, the per-epoch recovery cost breakdown — and finally asks the
-planner the question the paper leaves open: how many spares should this
-job have reserved, and how often should it checkpoint?
+Runs a paper-scale (model-kernel) job with two injected failures under the
+`repro.obs` tracer, then dissects what happened — the failure-lifecycle
+events (inject, detect, notify, rebuild, promote, restore, roll back) and
+the per-failure recovery cost breakdown — and finally asks the planner the
+question the paper leaves open: how many spares should this job have
+reserved, and how often should it checkpoint?
 
 Run:  python examples/recovery_anatomy.py
 """
 
-from repro.analysis import (
-    collect_timeline,
-    plan_job,
-    recovery_report,
-    render_timeline,
-)
+from repro.analysis import plan_job
 from repro.cluster import FaultPlan
 from repro.experiments.common import ft_config_for, machine_for
 from repro.ft.app import run_ft_application
+from repro.obs import tracer as obs_tracer
+from repro.obs.timeline import build_timelines, timeline_report
 from repro.workloads import ModelLanczosProgram, scaled_spec
-
 
 def main():
     spec = scaled_spec(workers=32, iterations=300, name="anatomy")
@@ -30,23 +27,34 @@ def main():
     print(f"Running {spec.n_workers} workers, {spec.n_iterations} iterations "
           f"(~{spec.setup_time + spec.baseline_runtime:.0f} s), "
           f"killing ranks 5 and 11 ...\n")
-    result = run_ft_application(
-        cfg, ModelLanczosProgram(spec),
-        machine_spec=machine_for(cfg),
-        fault_plan=plan,
-        until=2000.0,
-    )
-    assert result.status == "done"
+    tracer = obs_tracer.install()
+    try:
+        result = run_ft_application(
+            cfg, ModelLanczosProgram(spec),
+            machine_spec=machine_for(cfg),
+            fault_plan=plan,
+            until=2000.0,
+        )
+    finally:
+        obs_tracer.deactivate()
+    assert result.status == "done" and tracer.dropped == 0
+    events = tracer.events()
 
-    events = collect_timeline(result)
-    interesting = [e for e in events
-                   if e.source in ("fault", "fd") or e.label in
-                   ("recovered", "restored")]
-    print("=== event timeline (faults, FD, recovery milestones) ===")
-    print(render_timeline(interesting))
+    # the chain as the FD and the promoted rescues log it (every surviving
+    # worker also logs its own group_rebuild/restore/rollback per epoch)
+    rescues = {r for ev in events if ev.etype == obs_tracer.DETECTION
+               for r in ev.fields["rescues"]}
+    print("=== failure-lifecycle events (FD and rescue ranks) ===")
+    print(f"{'time':>10}   {'rank':>4}  {'event':<16} details")
+    for ev in sorted(events, key=lambda e: e.t):
+        if ev.etype in (obs_tracer.FAILURE_INJECTED, obs_tracer.DETECTION,
+                        obs_tracer.BROADCAST_FLAGS) or (
+                ev.rank in rescues and "epoch" in ev.fields):
+            details = " ".join(f"{k}={v}" for k, v in sorted(ev.fields.items()))
+            print(f"{ev.t:10.3f}s  {ev.rank:>4}  {ev.etype:<16} {details}")
 
     print("\n=== recovery cost report ===")
-    print(recovery_report(result))
+    print(timeline_report(build_timelines(events)))
 
     # capacity planning: the question the paper declares out of scope
     duration = max(w["t_done"] for w in result.worker_results().values())

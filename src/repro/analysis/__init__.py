@@ -1,11 +1,9 @@
-"""Post-run analysis: timelines and recovery reports for FT runs."""
+"""Planning and static analysis: spare-count/Daly planners and ftlint.
 
-from repro.analysis.timeline import (
-    TimelineEvent,
-    collect_timeline,
-    render_timeline,
-    recovery_report,
-)
+Per-failure lifecycle reports of a run live in :mod:`repro.obs.timeline`
+(install a tracer and call ``build_timelines``).
+"""
+
 from repro.analysis.planning import (
     SparePlan,
     daly_interval,
@@ -17,10 +15,6 @@ from repro.analysis.planning import (
 )
 
 __all__ = [
-    "TimelineEvent",
-    "collect_timeline",
-    "render_timeline",
-    "recovery_report",
     "SparePlan",
     "daly_interval",
     "expected_failures",

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster import FaultPlan, MachineSpec, TransportParams
+from repro.cluster.faults import affected_ranks
 from repro.checkpoint.manager import (
     BACKEND_TABLE,
     PFS,
@@ -16,6 +17,7 @@ from repro.checkpoint.pfs import ParallelFileSystem
 from repro.gaspi.config import GaspiConfig
 from repro.ft import FTConfig
 from repro.ft.app import FTRunResult, run_ft_application
+from repro.obs.timeline import served_injection
 from repro.workloads.kernels import ModelLanczosProgram
 from repro.workloads.spec import WorkloadSpec
 
@@ -78,11 +80,14 @@ class ScenarioOutcome:
         }
 
 
-def _recovery_decomposition(result: FTRunResult, injects: List[float],
+def _recovery_decomposition(result: FTRunResult,
                             spec: WorkloadSpec) -> Tuple[float, float, float, int]:
     """(detection, reinit, redo, n_recoveries) summed over all recoveries.
 
-    * detection: fault injection -> earliest worker failure-ack, per epoch;
+    * detection: fault injection -> earliest worker failure-ack, per epoch,
+      where an epoch's injection is the one its FD detection served
+      (:func:`~repro.obs.timeline.served_injection`); an epoch with no
+      matching injection adds none;
     * reinit: failure-ack -> restore completed, averaged over the new
       team's members, per epoch (group rebuild + checkpoint read);
     * redo: re-executed iterations (beyond the nominal count) x anchored
@@ -107,13 +112,22 @@ def _recovery_decomposition(result: FTRunResult, injects: List[float],
                 restores.setdefault(pending_epoch, []).append(t - ack_t)
                 pending_epoch = None
 
+    injected: Dict[int, List[float]] = {}  # rank -> inject times, ascending
+    for fault in sorted(result.run.injected, key=lambda f: f.time):
+        for rank in affected_ranks(fault, result.run.machine):
+            injected.setdefault(rank, []).append(fault.time)
+    stats = result.fd_stats
+    detections = {} if stats is None else {d.epoch: d for d in stats.detections}
+
     detection = 0.0
     reinit = 0.0
-    epochs = sorted(acks)
-    for idx, epoch in enumerate(epochs):
+    for epoch in sorted(acks):
         first_ack = min(acks[epoch])
-        inject = injects[idx] if idx < len(injects) else first_ack
-        detection += max(0.0, first_ack - inject)
+        det = detections.get(epoch)
+        inject = (None if det is None else
+                  served_injection(det.failed, injected, det.t_detected))
+        if inject is not None:
+            detection += max(0.0, first_ack - inject)
         spans = restores.get(epoch, [])
         if spans:
             reinit += sum(spans) / len(spans)
@@ -123,7 +137,7 @@ def _recovery_decomposition(result: FTRunResult, injects: List[float],
         executed = w.get("counters", {}).get("iterations", 0)
         redo_iters = max(redo_iters, int(executed) - spec.n_iterations)
     redo = max(0, redo_iters) * spec.iteration_time
-    return detection, reinit, redo, len(epochs)
+    return detection, reinit, redo, len(acks)
 
 
 def run_ft_scenario(
@@ -145,10 +159,8 @@ def run_ft_scenario(
     cfg = ft_config_for(spec, n_spares=n_spares, fd_threads=fd_threads,
                         **cfg_overrides)
     plan = FaultPlan()
-    injects: List[float] = []
     for t, rank in (kill_times or []):
         plan.kill_process(t, rank)
-        injects.append(t)
     horizon = until or (spec.setup_time + spec.baseline_runtime) * 4 + 600
     # the pfs backend (and pfs_every mirroring) needs an actual PFS model
     needs_pfs = (BACKEND_TABLE.get(cfg.checkpoint.backend) is PFS
@@ -169,11 +181,7 @@ def run_ft_scenario(
             f"{ {k: w['status'] for k, w in workers.items()} }"
         )
     total = max(w["t_done"] for w in workers.values())
-    # deduplicate simultaneous injections per detection epoch
-    unique_injects = sorted(set(injects))
-    detection, reinit, redo, n_rec = _recovery_decomposition(
-        result, unique_injects, spec
-    )
+    detection, reinit, redo, n_rec = _recovery_decomposition(result, spec)
     computation = total - redo - reinit - detection
     manager = CheckpointManager.maybe_of(result.run.world)
     return ScenarioOutcome(

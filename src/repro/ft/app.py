@@ -34,7 +34,7 @@ from repro.spmvm.team import Team
 from repro.ft import rankstate
 from repro.ft.config import FTConfig
 from repro.ft.control import ControlBlock, FailureNotice
-from repro.ft.detector import FD_STOP, fd_process
+from repro.ft.detector import FD_STOP, FDStats, fd_process
 from repro.ft.rankmap import ActiveRankMap
 from repro.ft.recovery import perform_recovery
 from repro.ft.roles import Role
@@ -439,7 +439,7 @@ class FTRunResult:
         return out
 
     @property
-    def fd_stats(self) -> Optional[Dict[str, Any]]:
+    def fd_stats(self) -> Optional[FDStats]:
         for proc in self.run.procs.values():
             result = proc.result
             if isinstance(result, dict) and "fd_stats" in result:

@@ -3,8 +3,8 @@
 * :mod:`repro.obs.tracer` — typed trace events in a ring buffer, the
   module-level active tracer (``install``/``deactivate``/``active_tracer``)
   and the zero-overhead :data:`~repro.obs.tracer.NULL_TRACER` default.
-* :mod:`repro.obs.metrics` — counters/gauges/histograms and the standard
-  aggregation :func:`~repro.obs.metrics.registry_from_events`.
+* :mod:`repro.obs.metrics` — counters/histograms and the standard
+  aggregation :func:`~repro.obs.metrics.registry_from_traces`.
 * :mod:`repro.obs.timeline` — per-failure lifecycle reconstruction
   (detection → rebuild → promote → restore → rollback chains).
 * :mod:`repro.obs.export` — JSONL and ``chrome://tracing`` serialisation.
@@ -20,11 +20,10 @@ from .tracer import (  # noqa: F401
     Tracer, NullTracer, active_tracer, deactivate, install,
 )
 from .metrics import (  # noqa: F401
-    Counter, Gauge, Histogram, MetricsRegistry, registry_from_events,
-    registry_from_traces,
+    Counter, Histogram, MetricsRegistry, registry_from_traces,
 )
 from .timeline import (  # noqa: F401
-    FailureRecord, build_timelines, phase_stats, timeline_report,
+    FailureRecord, build_timelines, timeline_report,
 )
 from .export import (  # noqa: F401
     chrome_trace, events_from_jsonl, write_chrome_trace, write_jsonl,

@@ -182,22 +182,6 @@ def injected_ranks(events: Iterable[TraceEvent]) -> List[int]:
                    if ev.etype == FAILURE_INJECTED and ev.rank >= 0})
 
 
-def phase_stats(records: Sequence[FailureRecord]) -> Dict[str, dict]:
-    """min/mean/max per phase over a set of failure records."""
-    out: Dict[str, dict] = {}
-    for name, _ in PHASES + (("total_recovery_s", ""),):
-        values = [getattr(r, name) for r in records
-                  if getattr(r, name) is not None]
-        if values:
-            out[name] = {
-                "count": len(values),
-                "min": min(values),
-                "mean": sum(values) / len(values),
-                "max": max(values),
-            }
-    return out
-
-
 def timeline_report(records: Sequence[FailureRecord],
                     title: str = "Failure timeline") -> str:
     """Human-readable per-failure lifecycle report."""

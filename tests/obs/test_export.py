@@ -9,7 +9,8 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.metrics import MetricsRegistry, registry_from_events
+from repro.experiments.sweep import SweepTrace
+from repro.obs.metrics import MetricsRegistry, registry_from_traces
 from repro.obs.tracer import TraceEvent
 
 
@@ -87,9 +88,10 @@ def test_write_chrome_trace_is_loadable_json(tmp_path):
 # ----------------------------------------------------------------------
 # metrics aggregation over the same event shapes
 # ----------------------------------------------------------------------
-def test_registry_from_events_counts_and_histograms():
-    events = TRACES[0][1] + TRACES[1][1]
-    reg = registry_from_events(events)
+def test_registry_from_traces_counts_and_histograms():
+    reg = registry_from_traces(
+        SweepTrace("export", label, 0, tuple(events))
+        for label, events in TRACES)
     snap = reg.snapshot()
     assert snap["events.ckpt_write"]["value"] == 1
     assert snap["events.detection"]["value"] == 1

@@ -6,7 +6,6 @@ from repro.obs.timeline import (
     FailureRecord,
     build_timelines,
     injected_ranks,
-    phase_stats,
     timeline_report,
 )
 from repro.obs.tracer import TraceEvent
@@ -81,15 +80,6 @@ def test_manager_restore_without_epoch_ignored_by_chains():
     assert rec.t_restored == 19.0  # the out-of-recovery read did not attach
 
 
-def test_injected_ranks_and_phase_stats():
-    events = _one_failure_events()
-    assert injected_ranks(events) == [1]
-    stats = phase_stats(build_timelines(events))
-    assert stats["detection_latency_s"]["count"] == 1
-    assert stats["detection_latency_s"]["mean"] == pytest.approx(6.0)
-    assert stats["total_recovery_s"]["max"] == pytest.approx(9.0)
-
-
 def test_latest_injection_before_detection_wins():
     """A rank killed, recovered, then killed again: each detection pairs
     with the newest injection at or before it."""
@@ -143,3 +133,75 @@ def test_timeline_from_scripted_failure_scenario():
     assert rec.restore_s > 0.0
     assert rec.total_recovery_s == pytest.approx(
         rec.t_rollback - rec.t_injected)
+
+
+# ----------------------------------------------------------------------
+# traced runs of the FT application
+# ----------------------------------------------------------------------
+def _traced_run(name, workers, iterations, until, plan=None, n_spares=2):
+    """Trace events of one model-kernel FT run under ``plan``."""
+    from repro.experiments.common import ft_config_for, machine_for
+    from repro.ft.app import run_ft_application
+    from repro.obs import tracer as obs_tracer
+    from repro.workloads import ModelLanczosProgram, scaled_spec
+
+    spec = scaled_spec(workers=workers, iterations=iterations, name=name)
+    cfg = ft_config_for(spec, n_spares=n_spares)
+    tr = obs_tracer.install()
+    try:
+        run_ft_application(
+            cfg, ModelLanczosProgram(spec), machine_spec=machine_for(cfg),
+            fault_plan=plan, until=until,
+        )
+    finally:
+        obs_tracer.deactivate()
+    assert tr.dropped == 0
+    return tr.events()
+
+
+@pytest.fixture(scope="module")
+def one_kill_records():
+    from repro.cluster import FaultPlan
+
+    events = _traced_run("analysis", 4, 80, 600.0,
+                         plan=FaultPlan().kill_process(30.0, 1))
+    return build_timelines(events)
+
+
+def test_traced_run_epoch_breakdown(one_kill_records):
+    (rec,) = one_kill_records
+    assert rec.failed == (1,)
+    assert rec.t_injected == 30.0
+    assert (rec.t_injected < rec.t_detected <= rec.t_broadcast
+            < rec.t_restored)
+    assert 0 < rec.detection_latency_s < 8
+    # notice broadcast -> checkpoint restored: group rebuild + read
+    assert 0 < rec.t_restored - rec.t_broadcast < 5
+
+
+def test_traced_run_report_text(one_kill_records):
+    report = timeline_report(one_kill_records)
+    assert "epoch 1" in report
+    assert "injected" in report
+    assert "restored" in report
+
+
+def test_failure_free_run_has_no_records():
+    records = build_timelines(_traced_run("analysis-clean", 4, 40, 300.0))
+    assert records == []
+    assert "(no failures detected)" in timeline_report(records)
+
+
+def test_epochs_match_detections_to_their_own_injections():
+    """Two ranks killed together, a third later: the second FD epoch
+    reports the later kill, not the second injection in time order."""
+    from repro.cluster import FaultPlan
+
+    plan = (FaultPlan().kill_process(30.0, 1).kill_process(30.0, 2)
+            .kill_process(80.0, 3))
+    first, second = build_timelines(
+        _traced_run("analysis-overlap", 6, 160, 900.0, plan=plan, n_spares=4))
+    assert (first.failed, first.t_injected) == ((1, 2), 30.0)
+    assert (second.failed, second.t_injected) == ((3,), 80.0)
+    assert 0 < first.detection_latency_s < 8
+    assert 0 < second.detection_latency_s < 8
